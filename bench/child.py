@@ -20,6 +20,10 @@ Modes:
 * ``harness``: the experiment CLI (``python -m repro.harness``) in this
   process, so that a traced run can wrap the coordinator's methods.
 
+Every timed unit is bracketed by the reference kernel of
+:mod:`hostspeed`; its record carries the unit's ``scale`` (reference
+seconds per host second), and ``setup_scale`` is that of the set-up.
+
 With ``"trace": true`` the wrappers of :mod:`tracing` go in right after
 the imports, before any simulator object exists, and the spans are
 written out when the work is done.
@@ -36,6 +40,9 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Optional
+
+from hostspeed import REFERENCE_KERNEL_S, HostSpeed, ParentKernel, kernel_s
 
 #: Simulated statistics start after the harness's standard warm-up
 #: (``RunOptions.warmup_fraction``); host time covers the whole replay.
@@ -82,8 +89,10 @@ def fingerprint(result) -> dict:
     }
 
 
-def replay(simulator, trace, tracer=None, warmup: float = WARMUP) -> dict:
-    """Replay *trace* once, timed; check invariants; describe the run."""
+def replay(simulator, trace, tracer=None, warmup: float = WARMUP,
+           speed: Optional[HostSpeed] = None) -> dict:
+    """Replay *trace* once, timed; check invariants; describe the run.
+    With *speed*, the kernel is timed right after the replay."""
     first_span = len(tracer) if tracer is not None else 0
     start = time.perf_counter()
     result = simulator.run(trace, warmup_fraction=warmup)
@@ -91,6 +100,7 @@ def replay(simulator, trace, tracer=None, warmup: float = WARMUP) -> dict:
     record = {
         "mode": "cgct" if simulator.config.cgct_enabled else "baseline",
         "wall_s": wall,
+        "scale": speed.scale() if speed is not None else 1.0,
         "ops": sum(len(t) for t in trace.per_processor),
         "fingerprint": fingerprint(result),
         "avoided_frac": result.fraction_avoided(),
@@ -105,7 +115,7 @@ def replay(simulator, trace, tracer=None, warmup: float = WARMUP) -> dict:
     return record
 
 
-def run_sim(spec: dict, out: dict, tracer) -> None:
+def run_sim(spec: dict, out: dict, tracer, time_kernel=kernel_s) -> None:
     from repro.system.simulator import Simulator
     from repro.workloads.benchmarks import build_benchmark
     from repro.workloads.store import WorkloadStore, set_workload_store
@@ -120,6 +130,8 @@ def run_sim(spec: dict, out: dict, tracer) -> None:
     simulator = Simulator(configs[0], seed=seed)
     ctor = time.perf_counter() - start
     out["setup_s"] = time.time() - spec["t0"]
+    speed = HostSpeed(time_kernel)
+    out["setup_scale"] = setup_scale(spec, speed)
     out["runs"] = runs = []
     for _ in rounds(spec["seconds"]) if spec["seconds"] is not None else ():
         for config in configs:
@@ -127,24 +139,34 @@ def run_sim(spec: dict, out: dict, tracer) -> None:
                 start = time.perf_counter()
                 simulator = Simulator(config, seed=seed)
                 ctor = time.perf_counter() - start
-            record = replay(simulator, trace, tracer)
+            record = replay(simulator, trace, tracer, speed=speed)
             record["ctor_s"] = ctor
             runs.append(record)
             simulator = None
     if spec["records_seconds"] is not None:
         capture = convert(spec, out)
-        trace_tools(spec, out, tracer, capture, spec["records_seconds"],
-                    enforce=False, replay=False)
+        trace_tools(spec, out, tracer, time_kernel, capture,
+                    spec["records_seconds"], enforce=False, replay=False,
+                    at_least=spec["at_least"])
 
 
-def traces_cli(argv) -> tuple:
-    """Run one ``traces`` subcommand; returns (exit code, wall seconds)."""
+def setup_scale(spec: dict, speed: HostSpeed) -> float:
+    """Scale of the set-up that just ended, from the kernel timed by the
+    parent before it started this process and the one *speed* timed
+    right after it."""
+    return REFERENCE_KERNEL_S / ((spec["kernel_s"] + speed.before) / 2.0)
+
+
+def traces_cli(argv, speed: Optional[HostSpeed] = None) -> tuple:
+    """Run one ``traces`` subcommand; returns (exit code, wall seconds,
+    scale). With *speed*, the kernel is timed right after it."""
     from repro.traces.cli import traces_command
 
     start = time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()):
         code = traces_command([str(a) for a in argv])
-    return code, time.perf_counter() - start
+    wall = time.perf_counter() - start
+    return code, wall, speed.scale() if speed is not None else 1.0
 
 
 def last_record(runlog: Path) -> dict:
@@ -158,7 +180,7 @@ def convert(spec: dict, out: dict) -> Path:
 
     set_workload_store(WorkloadStore(spec["store"]))
     capture = Path(spec["work"]) / "capture.bin"
-    code, _ = traces_cli([
+    code, _, _ = traces_cli([
         "convert", f"bench:{spec['benchmark']}", capture,
         "--processors", spec["processors"], "--ops", spec["ops"],
         "--trace-seed", spec["seed"],
@@ -168,17 +190,21 @@ def convert(spec: dict, out: dict) -> Path:
     return capture
 
 
-def trace_tools(spec: dict, out: dict, tracer, capture: Path,
-                seconds: float, enforce: bool, replay: bool) -> None:
+def trace_tools(spec: dict, out: dict, tracer, time_kernel, capture: Path,
+                seconds: float, enforce: bool, replay: bool,
+                at_least: int = 1) -> None:
     """``traces profile`` and ``traces sample`` the capture and, with
     *replay*, ``traces run`` the sampled trace on both machines; again
-    until *seconds* are spent."""
+    until *seconds* are spent, at least *at_least* times."""
     work = Path(spec["work"])
     sampled = work / "sampled.bin"
     runlog = work / "tools.jsonl"
-    for _ in rounds(seconds):
-        code, wall = traces_cli(["profile", capture, "--runlog", runlog])
+    speed = HostSpeed(time_kernel)
+    for _ in rounds(seconds, at_least):
+        code, wall, scale = traces_cli(
+            ["profile", capture, "--runlog", runlog], speed)
         out["steps"].append({"step": "profile", "code": code, "wall_s": wall,
+                             "scale": scale,
                              "records": last_record(runlog)["accesses"]})
         argv = ["sample", capture, sampled, "--rate", spec["rate"],
                 "--seed", spec["seed"], "--report",
@@ -186,10 +212,11 @@ def trace_tools(spec: dict, out: dict, tracer, capture: Path,
         if enforce:
             argv.append("--enforce")
         first_span = len(tracer) if tracer is not None else 0
-        code, wall = traces_cli(argv)
+        code, wall, scale = traces_cli(argv, speed)
         logged = last_record(runlog)
         kept = logged["kept"]
         out["steps"].append({"step": "sample", "code": code, "wall_s": wall,
+                             "scale": scale,
                              "records": logged["total"], "enforced": enforce,
                              "within_bounds": logged["within_bounds"]})
         if tracer is not None:
@@ -201,11 +228,12 @@ def trace_tools(spec: dict, out: dict, tracer, capture: Path,
                     "--runlog", runlog]
             if mode == "baseline":
                 argv.append("--baseline")
-            code, wall = traces_cli(argv)
+            code, wall, scale = traces_cli(argv, speed)
             logged = last_record(runlog)
             out["steps"].append({
                 "step": "run", "mode": mode, "code": code,
                 "wall_s": wall, "elapsed_s": logged["elapsed"],
+                "scale": scale,
                 "records": kept,
                 "identity": {k: logged[k] for k in (
                     "cycles", "external", "broadcasts",
@@ -213,15 +241,17 @@ def trace_tools(spec: dict, out: dict, tracer, capture: Path,
             })
 
 
-def run_pipeline(spec: dict, out: dict, tracer) -> None:
+def run_pipeline(spec: dict, out: dict, tracer, time_kernel=kernel_s) -> None:
     capture = convert(spec, out)
     out["setup_s"] = time.time() - spec["t0"]
+    out["setup_scale"] = setup_scale(spec, HostSpeed(time_kernel))
     if spec["seconds"] is not None:
-        trace_tools(spec, out, tracer, capture, spec["seconds"],
-                    enforce=spec["enforce"], replay=spec["replay"])
+        trace_tools(spec, out, tracer, time_kernel, capture, spec["seconds"],
+                    enforce=spec["enforce"], replay=spec["replay"],
+                    at_least=spec["at_least"])
 
 
-def run_harness(spec: dict, out: dict, tracer) -> None:
+def run_harness(spec: dict, out: dict, tracer, time_kernel=kernel_s) -> None:
     """Each argv of the spec is one ``python -m repro.harness`` pass."""
     from repro.harness.__main__ import main
 
@@ -258,7 +288,8 @@ def main(spec_path: str) -> int:
         tracer.install_traces()
         if spec["mode"] == "harness":
             tracer.install_harness()
-    MODES[spec["mode"]](spec, out, tracer)
+    MODES[spec["mode"]](spec, out, tracer,
+                        ParentKernel(*spec["kernel_fds"]))
     if tracer is not None:
         tracer.dump(spec["spans_path"])
         out["layers"] = tracer.layer_times()

@@ -17,7 +17,11 @@ standard output:
   (see ``tracing.py``) plus an untraced run of the same work, whose gap
   is reported as the tracing overhead.
 
-Workloads, metrics and their mapping are described in ``NOTES.md``.
+Every end-to-end time is host time on the reference host of
+``hostspeed.py``: each timed unit is bracketed by a fixed reference
+kernel, and its wall time is scaled by how fast the host ran the kernel
+around it. Workloads, metrics and their mapping are described in
+``NOTES.md``.
 Scratch files live under ``.bench_work/`` and are removed at exit; the
 traced run's spans are kept under ``.bench_out/``.
 """
@@ -36,9 +40,10 @@ import sys
 import time
 from pathlib import Path
 from statistics import median
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from child import rounds
+from hostspeed import HostSpeed, kernel_s, on_cpus, serve_kernel
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -53,7 +58,10 @@ CHILD_TIMEOUT_S = 150
 SETUPS = 3
 #: Set-ups from warm caches per run; ``sweep_s.warm`` is their median
 #: on the simulator workloads and the trace pipeline.
-WARM_SETUPS = 2
+WARM_SETUPS = 5
+#: Rounds of the figure sweep at least: a cold pass and a warm pass on
+#: its cache each.
+SWEEP_ROUNDS = 3
 #: Per-layer self times must add up to the independently measured wall
 #: time of the span they split (``Simulator.run``, a sweep, a sample)
 #: within this share of it. Two fixed allowances come on top where the
@@ -68,17 +76,30 @@ SAMPLE_SLACK_S = 0.002
 #: The figure sweep, as a user regenerates Figures 2, 7 and 8.
 SWEEP_ARGV = ("fig2", "fig7", "fig8", "--quick", "--workers", "2")
 #: The first benchmark of the quick sweep, whose trace (4 processors,
-#: harness trace seed 0) the figure sweep profiles and samples.
+#: harness trace seed 0) the figure sweep replays, profiles and samples,
+#: at this many times the cells' length: one cell's capture is profiled
+#: in a tenth of a second, and timings that short spread about twice as
+#: much from run to run.
 SWEEP_FIRST_BENCHMARK = "ocean"
+SWEEP_TRACE_SCALE = 4
+#: Rounds of ``profile`` and ``sample`` that process runs at least, so
+#: that their metrics are medians of four.
+SWEEP_TOOL_ROUNDS = 4
+#: Share of ``--seconds`` the figure sweep spends on that process.
+SWEEP_SIM_SHARE = 0.3
 
 #: The simulator workload: benchmark, processors, memory ops per processor.
 OLTP = ("tpc-b", 4, 8_000)
 #: Trace pipeline: the capture it converts, and the sampling rate.
 PIPELINE = ("tpc-w", 4, 25_000)
 SAMPLE_RATE = 2
-#: Share of ``--seconds`` the simulator and sweep workloads spend on
-#: ``traces profile`` and ``sample`` of their own trace (the
-#: ``records_per_s.*`` metrics); the rest goes to their own work.
+#: Rounds of the tools each cold process of the trace pipeline runs at
+#: least, so that its metrics are medians of six.
+TOOL_ROUNDS = 2
+#: Share of its time the simulator workload, and the figure sweep's
+#: replaying process, spend on ``traces profile`` and ``sample`` of
+#: their own trace (the ``records_per_s.*`` metrics); the rest goes to
+#: replays.
 RECORDS_SHARE = 0.3
 
 END_TO_END = (
@@ -129,6 +150,16 @@ class Run:
         self.work.mkdir(parents=True, exist_ok=True)
         self._children = 0
         self.env = dict(os.environ, PYTHONPATH=str(SRC))
+        self.scales: List[float] = []
+        #: The processor everything the run starts, and every kernel
+        #: timed for it, runs on: the first one it may use.
+        self.cpu = {min(os.sched_getaffinity(0))}
+
+    def ref(self, seconds: float, scale: float) -> float:
+        """*seconds* of host time, measured at *scale*, in reference
+        seconds."""
+        self.scales.append(scale)
+        return seconds * scale
 
     def check(self, ok: bool, what: str) -> None:
         """Count one checked operation; remember it when it failed."""
@@ -142,7 +173,8 @@ class Run:
         return path
 
     def child(self, spec: Dict) -> Dict:
-        """Run ``child.py`` on *spec* in a fresh interpreter."""
+        """Run ``child.py`` on *spec* in a fresh interpreter, on the run's
+        processor."""
         self._children += 1
         tag = f"child{self._children}"
         spec = dict(spec, out=str(self.work / f"{tag}.out.json"),
@@ -150,22 +182,16 @@ class Run:
                     spans_path=str(SPANS / f"{self.workload}-seed{self.seed}"
                                    f"-{tag}.spans.jsonl"))
         spec.setdefault("trace", False)
-        spec_path = self.work / f"{tag}.spec.json"
-        spec["t0"] = time.time()
-        spec_path.write_text(json.dumps(spec))
-        with open(self.work / f"{tag}.log", "w") as log:
-            subprocess.run([sys.executable, str(CHILD), str(spec_path)],
-                           cwd=ROOT, env=self.env, stdout=log,
-                           stderr=subprocess.STDOUT, check=True,
-                           timeout=CHILD_TIMEOUT_S)
-        return json.loads(Path(spec["out"]).read_text())
+        return run_child(spec, self.work / f"{tag}.spec.json",
+                         self.work / f"{tag}.log", self.env, self.cpu)
 
-    def harness(self, argv) -> Dict:
+    def harness(self, argv, speed: HostSpeed) -> Dict:
         """``python -m repro.harness ARGV`` as a user runs it.
 
-        Returns its exit code, stdout, whole wall time and the time from
+        Returns its exit code, stdout, whole wall time, the time from
         process start to the sweep's first dispatch (the ``sweep-start``
-        record of ``--runlog``, which argv must name).
+        record of ``--runlog``, which argv must name) and its scale by
+        *speed*.
         """
         start = time.time()
         proc = subprocess.run(
@@ -173,14 +199,51 @@ class Run:
             cwd=ROOT, env=self.env, capture_output=True, text=True,
             timeout=CHILD_TIMEOUT_S)
         wall = time.time() - start
+        scale = speed.scale()
         runlog = Path(argv[argv.index("--runlog") + 1])
         records = [json.loads(line)
                    for line in runlog.read_text().splitlines()]
         sweep_start = [r for r in records if r["event"] == "sweep-start"][-1]
         return {"code": proc.returncode, "stdout": proc.stdout,
                 "wall_s": wall, "setup_s": sweep_start["ts"] - start,
+                "scale": scale,
                 "records": records,
                 "json": Path(argv[argv.index("--json") + 1]).read_text()}
+
+
+def run_child(spec: Dict, spec_path: Path, log_path: Path,
+              env: Dict[str, str], cpus: Set[int]) -> Dict:
+    """Run ``child.py`` on *spec* on *cpus*, timing the kernel for it
+    there whenever it asks; returns what it wrote to ``spec["out"]``."""
+    argv = [sys.executable, str(CHILD), str(spec_path)]
+    ask_read, ask_write = os.pipe()
+    answer_read, answer_write = os.pipe()
+    try:
+        with on_cpus(cpus):
+            spec = dict(spec, kernel_fds=[ask_write, answer_read],
+                        kernel_s=kernel_s(), t0=time.time())
+            spec_path.write_text(json.dumps(spec))
+            with open(log_path, "w") as log:
+                proc = subprocess.Popen(argv, cwd=ROOT, env=env, stdout=log,
+                                        stderr=subprocess.STDOUT,
+                                        pass_fds=(ask_write, answer_read))
+            os.close(ask_write)
+            os.close(answer_read)
+            ask_write = answer_read = -1
+            try:
+                serve_kernel(proc, ask_read, answer_write, CHILD_TIMEOUT_S)
+                code = proc.wait(timeout=CHILD_TIMEOUT_S)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+    finally:
+        for fd in (ask_read, ask_write, answer_read, answer_write):
+            if fd >= 0:
+                os.close(fd)
+    if code != 0:
+        raise subprocess.CalledProcessError(code, argv)
+    return json.loads(Path(spec["out"]).read_text())
 
 
 # ----------------------------------------------------------------------
@@ -188,15 +251,19 @@ class Run:
 # ----------------------------------------------------------------------
 def sim_spec(run: Run, store: Path, seconds: Optional[float],
              records_seconds: Optional[float] = None,
-             trace: bool = False) -> Dict:
+             trace: bool = False, workload=OLTP,
+             seed: Optional[int] = None, records_rounds: int = 1) -> Dict:
     """A ``sim`` child: set up, replay both machines for *seconds* (None:
-    no replay), then profile and sample for *records_seconds* (None:
-    not at all)."""
-    benchmark, processors, ops = OLTP
+    no replay), then profile and sample for *records_seconds*, at least
+    *records_rounds* times (None: not at all). *workload* is
+    (benchmark, processors, ops per processor); *seed* is the run's by
+    default."""
+    benchmark, processors, ops = workload
     return {"mode": "sim", "benchmark": benchmark, "processors": processors,
-            "ops": ops, "seed": run.seed, "store": str(store),
+            "ops": ops, "seed": run.seed if seed is None else seed,
+            "store": str(store),
             "seconds": seconds,
-            "records_seconds": records_seconds,
+            "records_seconds": records_seconds, "at_least": records_rounds,
             "work": str(run.scratch("records")), "rate": SAMPLE_RATE,
             "trace": trace}
 
@@ -219,26 +286,31 @@ def sim_results(run: Run, runs: List[Dict]) -> Dict[str, float]:
     first = check_runs(run, runs)
     base, cgct = first["baseline"], first["cgct"]
     return {
-        "sim_ops_per_s.baseline": median(
-            r["ops"] / r["wall_s"] for r in runs
-            if r["mode"] == "baseline"),
-        "sim_ops_per_s.cgct": median(
-            r["ops"] / r["wall_s"] for r in runs if r["mode"] == "cgct"),
+        f"sim_ops_per_s.{mode}": median(
+            r["ops"] / run.ref(r["wall_s"], r["scale"]) for r in runs
+            if r["mode"] == mode)
+        for mode in ("baseline", "cgct")
+    } | {
         "sim_speedup": base["fingerprint"]["cycles"]
         / cgct["fingerprint"]["cycles"],
         "broadcasts_avoided_frac": cgct["avoided_frac"],
         "cells_per_s.cold": len(runs)
-        / sum(r["ctor_s"] + r["wall_s"] for r in runs),
+        / sum(run.ref(r["ctor_s"] + r["wall_s"], r["scale"]) for r in runs),
     }
 
 
-def records_results(steps: List[Dict]) -> Dict[str, float]:
+def records_results(run: Run, steps: List[Dict]) -> Dict[str, float]:
     return {
         f"records_per_s.{kind}": median(
-            s["records"] / s["wall_s"] for s in steps
+            s["records"] / run.ref(s["wall_s"], s["scale"]) for s in steps
             if s["step"] == kind)
         for kind in ("profile", "sample")
     }
+
+
+def setups(run: Run, children: List[Dict]) -> float:
+    """Median set-up time of *children*, in reference seconds."""
+    return median(run.ref(c["setup_s"], c["setup_scale"]) for c in children)
 
 
 def sim_workload(run: Run) -> Dict[str, float]:
@@ -257,9 +329,9 @@ def sim_workload(run: Run) -> Dict[str, float]:
     steps = [s for c in (*cold, *warm) for s in c["steps"]]
     check_pipeline(run, steps)
     metrics = sim_results(run, [r for c in cold for r in c["runs"]])
-    metrics.update(records_results(steps))
-    metrics["setup_s"] = median(c["setup_s"] for c in cold)
-    metrics["sweep_s.warm"] = median(w["setup_s"] for w in warm)
+    metrics.update(records_results(run, steps))
+    metrics["setup_s"] = setups(run, cold)
+    metrics["sweep_s.warm"] = setups(run, warm)
     return metrics
 
 
@@ -290,10 +362,10 @@ def sim_layers(run: Run) -> Dict[str, float]:
 def sweep_ops(seed: int) -> int:
     """Memory ops per processor of the sweep's cells, from the seed.
 
-    About 5 000, under the quick size of 12 000, so that two cold
+    About 2 500, under the quick size of 12 000, so that three cold
     passes fit in a run; less a seed-chosen step, so that each seed
     gives different traces at nearly the same cost."""
-    return 5_000 - 4 * (seed % 64)
+    return 2_500 - 2 * (seed % 64)
 
 
 def sweep_argv(run: Run, cache: Path, tag: str) -> List[str]:
@@ -363,47 +435,53 @@ def sweep_tools_spec(run: Run, store: Path, seconds: float,
     return {"mode": "pipeline", "benchmark": SWEEP_FIRST_BENCHMARK,
             "processors": 4, "ops": sweep_ops(run.seed), "seed": 0,
             "store": str(store), "work": str(run.scratch("records")),
-            "seconds": seconds, "rate": SAMPLE_RATE,
+            "seconds": seconds, "at_least": 1, "rate": SAMPLE_RATE,
             "enforce": False, "replay": False, "trace": trace}
 
 
 def sweep_workload(run: Run) -> Dict[str, float]:
-    """Rounds of one cold pass, one warm pass on its cache, and a share of
-    the profile and sample steps, for ``--seconds``; at least two, so
-    that every sweep metric is a median."""
+    """Rounds of one cold pass and one warm pass on its cache, for
+    ``--seconds`` less the simulator's share, at least three rounds so
+    that every sweep metric is a median of three. Then one process
+    replays the trace of the sweep's first benchmark, at
+    ``SWEEP_TRACE_SCALE`` times the cells' length, on both machines, and
+    profiles and samples it. Every pass runs on the run's one
+    processor, between kernels timed there."""
     colds: List[Dict] = []
     warms: List[Dict] = []
-    steps: List[Dict] = []
-    for _ in rounds(run.seconds, at_least=2):
-        round_ = len(colds)
-        cache = run.scratch(f"results-{round_}")
-        cold = run.harness(sweep_argv(run, cache, f"cold-{round_}"))
-        warm = run.harness(sweep_argv(run, cache, f"warm-{round_}"))
-        check_sweep(run, [cold, warm], cold)
-        run.check(sweep_end(warm["records"])["simulated"] == 0,
-                  "warm sweep simulated cells")
-        colds.append(cold)
-        warms.append(warm)
-        steps += run.child(sweep_tools_spec(
-            run, run.scratch("store"), run.seconds * RECORDS_SHARE / 2,
-        ))["steps"]
-    check_pipeline(run, steps)
-    cells = [c for cold in colds for c in cell_records(cold["records"])]
-    metrics = {
-        f"sim_ops_per_s.{mode}":
-        sum(c["task"]["ops"] * c["task"]["processors"] for c in chosen)
-        / sum(c["wall_s"] for c in chosen)
-        for mode, chosen in (
-            ("baseline", [c for c in cells if not c["task"]["cgct"]]),
-            ("cgct", [c for c in cells if c["task"]["cgct"]]))
-    }
+    sim_seconds = run.seconds * SWEEP_SIM_SHARE
+    with on_cpus(run.cpu):
+        speed = HostSpeed(kernel_s)
+        for _ in rounds(run.seconds - sim_seconds, at_least=SWEEP_ROUNDS):
+            round_ = len(colds)
+            cache = run.scratch(f"results-{round_}")
+            cold = run.harness(sweep_argv(run, cache, f"cold-{round_}"),
+                               speed)
+            warm = run.harness(sweep_argv(run, cache, f"warm-{round_}"),
+                               speed)
+            check_sweep(run, [cold, warm], cold)
+            run.check(sweep_end(warm["records"])["simulated"] == 0,
+                      "warm sweep simulated cells")
+            colds.append(cold)
+            warms.append(warm)
+    sim = run.child(sim_spec(
+        run, run.scratch("store"), sim_seconds * (1 - RECORDS_SHARE),
+        sim_seconds * RECORDS_SHARE,
+        workload=(SWEEP_FIRST_BENCHMARK, 4,
+                  SWEEP_TRACE_SCALE * sweep_ops(run.seed)),
+        seed=0, records_rounds=SWEEP_TOOL_ROUNDS))
+    check_pipeline(run, sim["steps"])
+    metrics = sim_results(run, sim["runs"])
     metrics.update(figure_metrics(run.work / "cold-0.json"))
-    metrics.update(records_results(steps))
-    metrics["setup_s"] = median(p["setup_s"] for p in colds + warms)
+    metrics.update(records_results(run, sim["steps"]))
+    metrics["setup_s"] = median(run.ref(p["setup_s"], p["scale"])
+                                for p in colds + warms)
     metrics["cells_per_s.cold"] = median(
-        len(cell_records(c["records"])) / sweep_end(c["records"])["wall_s"]
+        len(cell_records(c["records"]))
+        / run.ref(sweep_end(c["records"])["wall_s"], c["scale"])
         for c in colds)
-    metrics["sweep_s.warm"] = median(w["wall_s"] for w in warms)
+    metrics["sweep_s.warm"] = median(run.ref(w["wall_s"], w["scale"])
+                                     for w in warms)
     return metrics
 
 
@@ -463,13 +541,15 @@ def sweep_layers(run: Run) -> Dict[str, float]:
 def pipeline_spec(run: Run, name: str, store: Path,
                   seconds: Optional[float], trace: bool = False) -> Dict:
     """A ``pipeline`` child: convert the capture, then run the tools for
-    *seconds* (None: not at all)."""
+    *seconds*, at least ``TOOL_ROUNDS`` rounds (0: one round; None: not
+    at all)."""
     benchmark, processors, ops = PIPELINE
     return {"mode": "pipeline", "benchmark": benchmark,
             "processors": processors, "ops": ops, "seed": run.seed,
             "store": str(store), "work": str(run.scratch(name)),
-            "seconds": seconds, "rate": SAMPLE_RATE, "enforce": True,
-            "replay": True, "trace": trace}
+            "seconds": seconds, "at_least": TOOL_ROUNDS if seconds else 1,
+            "rate": SAMPLE_RATE, "enforce": True, "replay": True,
+            "trace": trace}
 
 
 def check_pipeline(run: Run, steps: List[Dict]) -> Dict[str, Dict]:
@@ -505,19 +585,20 @@ def pipeline_workload(run: Run) -> Dict[str, float]:
     replays = [s for s in steps if s["step"] == "run"]
     base = first["baseline"]["identity"]
     cgct = first["cgct"]["identity"]
-    metrics = records_results(steps)
+    metrics = records_results(run, steps)
     metrics.update({
         f"sim_ops_per_s.{mode}": median(
-            s["records"] / s["elapsed_s"] for s in replays
-            if s["mode"] == mode)
+            s["records"] / run.ref(s["elapsed_s"], s["scale"])
+            for s in replays if s["mode"] == mode)
         for mode in ("baseline", "cgct")
     })
     metrics.update({
-        "setup_s": median(c["setup_s"] for c in cold),
-        "sweep_s.warm": median(w["setup_s"] for w in warm),
+        "setup_s": setups(run, cold),
+        "sweep_s.warm": setups(run, warm),
         "sim_speedup": base["cycles"] / cgct["cycles"],
         "broadcasts_avoided_frac": cgct["fraction_avoided"],
-        "cells_per_s.cold": len(replays) / sum(s["wall_s"] for s in replays),
+        "cells_per_s.cold": len(replays)
+        / sum(run.ref(s["wall_s"], s["scale"]) for s in replays),
     })
     return metrics
 
@@ -665,6 +746,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     wanted = PER_LAYER if run.traced else END_TO_END
     for failure in run.failures:
         print(f"FAILED: {failure}", file=sys.stderr)
+    if run.scales:
+        print(f"host speed: median {median(run.scales):.3f} of the "
+              f"reference host's over {len(run.scales)} timed units, "
+              f"from {min(run.scales):.3f} to {max(run.scales):.3f}",
+              file=sys.stderr)
     print(json.dumps({
         "correct": not run.failures,
         "attempted": run.attempted,

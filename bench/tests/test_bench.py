@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -25,14 +24,18 @@ for path in (BENCH, ROOT / "src"):
 import child  # noqa: E402
 import run  # noqa: E402
 from tracing import Tracer  # noqa: E402
+import hostspeed  # noqa: E402
+from hostspeed import REFERENCE_KERNEL_S  # noqa: E402
 
 
 def sim_spec(tmp_path, seed, ops=1_500, processors=4, benchmark="tpc-b",
              trace=False):
     return {"mode": "sim", "benchmark": benchmark, "processors": processors,
             "ops": ops, "seed": seed, "store": str(tmp_path / f"s{seed}"),
-            "seconds": 0, "records_seconds": None, "work": str(tmp_path),
-            "rate": 4, "trace": trace, "t0": time.time()}
+            "seconds": 0, "records_seconds": None, "at_least": 1,
+            "work": str(tmp_path),
+            "rate": 4, "trace": trace, "t0": time.time(),
+            "kernel_s": REFERENCE_KERNEL_S}
 
 
 def drive(spec, tracer=None):
@@ -87,7 +90,7 @@ class TestSeeds:
     def test_sweep_size_follows_seed(self):
         assert run.sweep_ops(5) == run.sweep_ops(5 + 64)
         assert len({run.sweep_ops(s) for s in range(64)}) == 64
-        assert all(4_700 < run.sweep_ops(s) <= 5_000 for s in range(64))
+        assert all(2_300 < run.sweep_ops(s) <= 2_500 for s in range(64))
 
 
 class TestSpans:
@@ -155,18 +158,34 @@ class TestSpans:
             {header["run_id"]}
 
 
+class TestHostSpeed:
+    def test_each_unit_scaled_by_the_kernels_around_it(self):
+        times = iter([0.02, 0.04, 0.01])
+        speed = hostspeed.HostSpeed(lambda: next(times))
+        assert speed.scale() == pytest.approx(REFERENCE_KERNEL_S / 0.03)
+        assert speed.scale() == pytest.approx(REFERENCE_KERNEL_S / 0.025)
+
+    def test_on_cpus_restores_affinity(self):
+        before = os.sched_getaffinity(0)
+        with hostspeed.on_cpus({min(before)}):
+            assert os.sched_getaffinity(0) == {min(before)}
+        assert os.sched_getaffinity(0) == before
+
+    def test_child_kernels_are_timed_by_the_parent(self, tmp_path):
+        out = run_child(tmp_path, sim_spec(tmp_path, seed=1))
+        scales = [out["setup_scale"]] + [r["scale"] for r in out["runs"]]
+        assert all(0 < scale < 100 for scale in scales)
+        assert len(set(scales)) == len(scales)
+
+
 def run_child(tmp_path, spec):
     """``child.py`` on *spec* in a fresh interpreter, as ``run.py`` runs
     it; returns what it wrote."""
     spec = dict(spec, out=str(tmp_path / "out.json"), run_id="test",
-                spans_path=str(tmp_path / "spans.jsonl"), t0=time.time())
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec))
-    subprocess.run([sys.executable, str(BENCH / "child.py"), str(spec_path)],
-                   cwd=ROOT,
-                   env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-                   check=True, timeout=120)
-    return json.loads((tmp_path / "out.json").read_text())
+                spans_path=str(tmp_path / "spans.jsonl"))
+    return run.run_child(spec, tmp_path / "spec.json", tmp_path / "log",
+                         dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                         os.sched_getaffinity(0))
 
 
 class TestPerLayerMetrics:
