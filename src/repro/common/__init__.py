@@ -4,8 +4,9 @@ This package deliberately contains no simulator policy: only deterministic
 randomness plumbing (:mod:`repro.common.rng`), unit conversions
 (:mod:`repro.common.units`), summary statistics with confidence intervals
 (:mod:`repro.common.stats`), windowed traffic counters
-(:mod:`repro.common.intervals`), and busy-resource timing primitives
-(:mod:`repro.common.resources`).
+(:mod:`repro.common.intervals`), busy-resource timing primitives
+(:mod:`repro.common.resources`), and plain-text tables
+(:mod:`repro.common.render`).
 """
 
 from repro.common.errors import (

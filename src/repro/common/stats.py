@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
-from scipy import stats as _scipy_stats
-
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
@@ -66,6 +64,10 @@ def confidence_interval(
         return ConfidenceInterval(mean=mean, half_width=0.0, confidence=confidence, n=1)
     variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
     sem = math.sqrt(variance / n)
+    # Imported here, not at module level: scipy takes about a second and
+    # 60 MB to load, and only intervals over two or more samples need it.
+    from scipy import stats as _scipy_stats
+
     t_crit = float(_scipy_stats.t.ppf((1.0 + confidence) / 2.0, df=n - 1))
     return ConfidenceInterval(
         mean=mean, half_width=t_crit * sem, confidence=confidence, n=n

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Deque, Iterable, List, Optional
 
 from repro.coherence.requests import RequestType
-from repro.harness.render import render_table
+from repro.common.render import render_table
 
 
 @dataclass(frozen=True)

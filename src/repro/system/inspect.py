@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.harness.render import render_table
+from repro.common.render import render_table
 from repro.system.machine import Machine
 
 

@@ -1,0 +1,59 @@
+"""Start-up guard: entry points must not load heavy optional modules.
+
+scipy is needed only for confidence intervals over two or more samples,
+and costs about a second and 60 MB to import, so no entry point may load
+it at start-up. The simulator layers (``repro.system``) must not pull in
+the experiment harness either. Each check runs the real command in a
+fresh interpreter with ``-X importtime`` and reads the modules it
+imported from stderr.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+from typing import Set
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+
+def _imported_modules(*args: str) -> Set[str]:
+    """Every module a fresh ``python -X importtime *args`` imports."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    }
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("-c", "import repro"),
+        ("-m", "repro.harness", "--help"),
+        ("-m", "repro.harness", "traces", "--help"),
+    ],
+    ids=["import-repro", "harness-help", "traces-help"],
+)
+def test_entry_point_does_not_import_scipy(args):
+    modules = _imported_modules(*args)
+    assert "repro" in modules
+    assert not {m for m in modules if m == "scipy" or m.startswith("scipy.")}
+
+
+def test_system_does_not_import_harness():
+    modules = _imported_modules("-c", "import repro.system")
+    assert "repro.system" in modules
+    assert not {m for m in modules if m.startswith("repro.harness")}

@@ -1,6 +1,7 @@
 """Confidence intervals, geometric means, streaming moments."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -49,6 +50,40 @@ class TestConfidenceInterval:
             confidence_interval(samples, 0.99).half_width
             > confidence_interval(samples, 0.90).half_width
         )
+
+
+class TestConfidenceIntervalExact:
+    """Half-widths equal scipy's t quantile times the SEM, bit for bit."""
+
+    @pytest.mark.parametrize("confidence", [0.90, 0.95, 0.99])
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            [1.0, 2.0],
+            [0.31, 0.27, 0.35],
+            [-1.0, 1.0, -1.0, 1.0],
+            [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
+            [0.1 * k * k for k in range(1, 31)],
+        ],
+    )
+    def test_half_width_is_exact(self, samples, confidence):
+        from scipy import stats
+
+        n = len(samples)
+        mean = sum(samples) / n
+        variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
+        sem = math.sqrt(variance / n)
+        t_crit = float(stats.t.ppf((1.0 + confidence) / 2.0, df=n - 1))
+        ci = confidence_interval(samples, confidence)
+        assert ci.mean == mean
+        assert ci.half_width == t_crit * sem
+
+    def test_single_sample_needs_no_scipy(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        ci = confidence_interval([4.25])
+        assert (ci.mean, ci.half_width, ci.n) == (4.25, 0.0, 1)
+        with pytest.raises(ImportError):
+            confidence_interval([4.25, 5.0])
 
 
 class TestGeometricMean:
