@@ -41,6 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.coherence.requests import RequestType
 from repro.workloads.trace import MultiTrace, TraceOp
 
@@ -178,6 +180,108 @@ class GoldenModel:
             )
             for line in lines
         }
+
+
+def must_broadcast_batch(
+    procs: np.ndarray,
+    ops: np.ndarray,
+    lines: np.ndarray,
+    holders: np.ndarray,
+    owner: np.ndarray,
+) -> np.ndarray:
+    """:meth:`GoldenModel.must_broadcast` for a batch, in closed form.
+
+    ``procs``, ``ops`` and ``lines`` are parallel arrays in stream order;
+    ``lines`` are dense ids into the carried per-line state, which the
+    call updates in place to the state after the batch:
+
+    * ``holders`` — ``(n, 2)`` ints, up to two distinct processors that
+      may hold the line, ``-1`` for none. Two suffice: the rule only asks
+      whether *another* processor may hold it.
+    * ``owner`` — ``(n,)`` ints, the dirty owner or ``-1``.
+
+    Returns the verdicts, in stream order, that applying the batch to a
+    :class:`GoldenModel` one access at a time would produce. Within the
+    batch, stably sorted by line, the state before access ``t`` by ``q``
+    follows from the last *kill* (write or purge) ``k`` before ``t``:
+    the holders are the processors of ``[k, t)`` (of ``(k, t)`` when
+    ``k`` purged), and the dirty owner is ``k``'s writer. So a non-IFETCH
+    access must broadcast iff the run of ``q``'s accesses ending at ``t``
+    starts after that range begins — or, with no kill in the batch, also
+    iff a carried holder is not ``q``. An IFETCH must broadcast iff the
+    last kill is another processor's write, or, with no kill in the
+    batch, iff the carried owner is another processor.
+    """
+    n = len(lines)
+    if n == 0:
+        return np.zeros(0, dtype=bool)
+    order = np.argsort(lines, kind="stable")
+    line = lines[order]
+    proc = procs[order].astype(np.int64, copy=False)
+    op = ops[order]
+    index = np.arange(n)
+    line_break = np.empty(n, dtype=bool)
+    line_break[0] = True
+    np.not_equal(line[1:], line[:-1], out=line_break[1:])
+    run_break = line_break.copy()
+    run_break[1:] |= proc[1:] != proc[:-1]
+    line_start = np.maximum.accumulate(np.where(line_break, index, 0))
+    run_start = np.maximum.accumulate(np.where(run_break, index, 0))
+    write = (op == TraceOp.STORE) | (op == TraceOp.DCBZ)
+    purge = (op == TraceOp.DCBF) | (op == TraceOp.DCBI)
+    # Last kill at or before each position, if it lies within the line.
+    kill_upto = np.maximum.accumulate(np.where(write | purge, index, -1))
+    kill_upto[kill_upto < line_start] = -1
+    kill_before = np.empty(n, dtype=np.int64)
+    kill_before[0] = -1
+    kill_before[1:] = kill_upto[:-1]
+    kill_before[line_break] = -1
+
+    def holders_from(kill: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """First position of the range whose processors may hold the
+        line at *at*, given the last kill there (-1: none this batch)."""
+        k = np.maximum(kill, 0)
+        return np.where(kill >= 0, k + purge[k], line_start[at])
+
+    def owner_after(kill: np.ndarray, carried: np.ndarray) -> np.ndarray:
+        k = np.maximum(kill, 0)
+        return np.where(
+            kill >= 0, np.where(write[k], proc[k], -1), carried,
+        )
+
+    carried = holders[line]
+    must = run_start > holders_from(kill_before, index)
+    carried_other = ((carried != -1) & (carried != proc[:, None])).any(axis=1)
+    must |= (kill_before < 0) & carried_other
+    ifetch = op == TraceOp.IFETCH
+    dirty = owner_after(kill_before[ifetch], owner[line[ifetch]])
+    must[ifetch] = (dirty >= 0) & (dirty != proc[ifetch])
+
+    # Carry the state after each line's last access in the batch: its
+    # processor, and another that may hold the line, if any.
+    last = np.flatnonzero(np.append(line_break[1:], True))
+    kill = kill_upto[last]
+    first = holders_from(kill, last)
+    q = proc[last]
+    seen = carried[last]
+    carried_other = np.where(
+        (seen[:, 0] != -1) & (seen[:, 0] != q), seen[:, 0],
+        np.where(seen[:, 1] != q, seen[:, 1], -1),
+    )
+    start = run_start[last]
+    other = np.where(
+        start > first, proc[np.maximum(start - 1, 0)],
+        np.where(kill < 0, carried_other, -1),
+    )
+    empty = first > last   # the last access purged the line
+    ids = line[last]
+    owner[ids] = owner_after(kill, owner[ids])
+    holders[ids, 0] = np.where(empty, -1, q)
+    holders[ids, 1] = np.where(empty, -1, other)
+
+    verdicts = np.empty(n, dtype=bool)
+    verdicts[order] = must
+    return verdicts
 
 
 def replay(

@@ -20,60 +20,53 @@
 * ``python -m repro.harness <experiment-id>`` — command-line entry.
 """
 
-from repro.harness.cache import DiskCache, cache_key, code_version
-from repro.harness.experiments import (
-    EXPERIMENTS,
-    ExperimentResult,
-    RunOptions,
-    run_experiment,
-)
-from repro.harness.export import (
-    result_to_dict,
-    result_to_markdown,
-    save_results_json,
-    save_results_markdown,
-)
-from repro.harness.parallel import (
-    ExperimentTask,
-    ParallelRunner,
-    experiment_tasks,
-    replicated_tasks,
-    warm_cache,
-)
-from repro.harness.render import render_table
-from repro.harness.supervisor import (
-    CircuitBreaker,
-    RetryPolicy,
-    SupervisedPool,
-    SweepCheckpoint,
-)
-from repro.harness.runcache import RunCache
-from repro.harness.runlog import RunLog, read_runlog, summarize
+import importlib
+from typing import Any, List
 
-__all__ = [
-    "EXPERIMENTS",
-    "CircuitBreaker",
-    "DiskCache",
-    "ExperimentResult",
-    "ExperimentTask",
-    "ParallelRunner",
-    "RunCache",
-    "RetryPolicy",
-    "RunLog",
-    "RunOptions",
-    "SupervisedPool",
-    "SweepCheckpoint",
-    "cache_key",
-    "code_version",
-    "experiment_tasks",
-    "read_runlog",
-    "render_table",
-    "replicated_tasks",
-    "result_to_dict",
-    "result_to_markdown",
-    "run_experiment",
-    "save_results_json",
-    "save_results_markdown",
-    "summarize",
-    "warm_cache",
-]
+#: Public name -> the submodule that defines it. Names load on first
+#: access (PEP 562), so importing one submodule — the ``traces`` tools
+#: import ``repro.harness.runlog`` — does not load the experiments,
+#: the process pool and :mod:`multiprocessing` along with it.
+_EXPORTS = {
+    "DiskCache": "cache",
+    "cache_key": "cache",
+    "code_version": "cache",
+    "EXPERIMENTS": "experiments",
+    "ExperimentResult": "experiments",
+    "RunOptions": "experiments",
+    "run_experiment": "experiments",
+    "result_to_dict": "export",
+    "result_to_markdown": "export",
+    "save_results_json": "export",
+    "save_results_markdown": "export",
+    "ExperimentTask": "parallel",
+    "ParallelRunner": "parallel",
+    "experiment_tasks": "parallel",
+    "replicated_tasks": "parallel",
+    "warm_cache": "parallel",
+    "render_table": "render",
+    "CircuitBreaker": "supervisor",
+    "RetryPolicy": "supervisor",
+    "SupervisedPool": "supervisor",
+    "SweepCheckpoint": "supervisor",
+    "RunCache": "runcache",
+    "RunLog": "runlog",
+    "read_runlog": "runlog",
+    "summarize": "runlog",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(_EXPORTS))
+
+
+__all__ = sorted(_EXPORTS)

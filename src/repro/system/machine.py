@@ -354,6 +354,10 @@ class Machine:
         # capture the dict once.
         self._region_classes: Dict[int, Dict[int, int]] = {}
         self._inline_region_snoop = False
+        #: The same switch as a one-element list, for the residency
+        #: closures: reading it through the machine would tie every
+        #: node's L2 back to the machine in a reference cycle.
+        self._inline_region_switch = [False]
         #: Owner hints are advisory and only ever read by the Section 6
         #: owner-prediction extension; with the extension off they are
         #: dead stores, and the inline snoop paths skip writing them.
@@ -387,7 +391,6 @@ class Machine:
         #: answered as a holder are exactly its skipped probes — and
         #: reconstructed on every ``L2Cache.snoop_probes`` read.
         self._bitmask_snoop = self._plain_snoop and snoop == "bitmask"
-        self._fast_broadcasts = 0
         self._fast_issued = [0] * self.topology.num_processors
         self._fast_holder_visits = [0] * self.topology.num_processors
         if self._bitmask_snoop:
@@ -470,7 +473,7 @@ class Machine:
             and getattr(inner_removed, "__self__", None) is rca
         )
 
-        machine = self
+        inline = self._inline_region_switch
         region_classes = self._region_classes
         if fuse_rca:
             # The node's only line hooks are the RCA counters: fold them
@@ -499,7 +502,7 @@ class Machine:
                 count = entry.line_count + 1
                 entry.line_count = count
                 if count == 1:
-                    if machine._inline_region_snoop:
+                    if inline[0]:
                         cls = region_classes[region]
                         c = (entry.state.index << 1) | 1
                         left = cls[c] & ~bit
@@ -533,7 +536,7 @@ class Machine:
                     raise ProtocolError(
                         f"region {entry.region:#x} line count would go negative"
                     )
-                if count == 1 and machine._inline_region_snoop:
+                if count == 1 and inline[0]:
                     cls = region_classes[region]
                     c = entry.state.index << 1
                     left = cls[c] & ~bit
@@ -557,7 +560,7 @@ class Machine:
             def line_allocated(line: int) -> None:
                 holders[line] = holders.get(line, 0) | bit
                 inner_allocated(line)
-                if machine._inline_region_snoop:
+                if inline[0]:
                     region = line >> rshift
                     entry = rsets[region & rmask].get(region >> rbits)
                     if entry is not None and entry.line_count == 1:
@@ -578,7 +581,7 @@ class Machine:
                 else:
                     holders.pop(line, None)
                 inner_removed(line)
-                if machine._inline_region_snoop:
+                if inline[0]:
                     region = line >> rshift
                     entry = rsets[region & rmask].get(region >> rbits)
                     if entry is not None and entry.line_count == 0:
@@ -615,7 +618,7 @@ class Machine:
 
             def region_tracked(region: int) -> None:
                 trackers[region] = trackers.get(region, 0) | bit
-                if machine._inline_region_snoop:
+                if inline[0]:
                     entry = rsets2[region & rmask2].get(region >> rbits2)
                     c = (entry.state.index << 1) | (
                         1 if entry.line_count == 0 else 0
@@ -631,7 +634,7 @@ class Machine:
                     trackers[region] = remaining
                 else:
                     trackers.pop(region, None)
-                if machine._inline_region_snoop:
+                if inline[0]:
                     cls = region_classes.get(region)
                     if cls:
                         for c, m in cls.items():
@@ -652,18 +655,18 @@ class Machine:
         """Give *node*'s L2 its deferred snoop-probe reconstruction.
 
         In bitmask mode a processor's skipped tag probes are exactly the
-        fast-path broadcasts it neither issued nor was visited for as a
-        holder; the closure computes that from the machine's live
-        totals, so ``l2.snoop_probes`` reads are exact at any time.
+        fast-path broadcasts (every processor's issues summed) it neither
+        issued nor was visited for as a holder; the closure computes that
+        from the machine's live counter lists, so ``l2.snoop_probes``
+        reads are exact at any time. It holds the lists, not the
+        machine, so the L2 does not keep the machine alive.
         """
         pid = node.proc_id
+        issued = self._fast_issued
+        visits = self._fast_holder_visits
 
         def probe_debt() -> int:
-            return (
-                self._fast_broadcasts
-                - self._fast_issued[pid]
-                - self._fast_holder_visits[pid]
-            )
+            return sum(issued) - issued[pid] - visits[pid]
 
         node.l2._probe_debt = probe_debt
 
@@ -755,7 +758,7 @@ class Machine:
                     for c in range(len(ext) * 2)
                 ]
                 self._region_local_table = protocol._local_table
-        self._inline_region_snoop = inline
+        self._inline_region_snoop = self._inline_region_switch[0] = inline
         self._region_classes.clear()
         if inline:
             classes = self._region_classes
@@ -1290,9 +1293,8 @@ class Machine:
             # Fastest path: visit only the actual holders, in ascending
             # processor order (identical combine order to the walk). A
             # non-holder contributes nothing to the combine and its tag
-            # probe is reconstructed later from these three counters, so
+            # probe is reconstructed later from these two counters, so
             # results and statistics stay bit-identical to the walk.
-            self._fast_broadcasts += 1
             self._fast_issued[proc] += 1
             visits = self._fast_holder_visits
             nodes = self.nodes
@@ -2239,9 +2241,8 @@ class Machine:
         # Zero the fast-path broadcast totals *before* the per-node
         # resets: each L2's snoop_probes setter bakes the current debt
         # into its private counter, so the debts must already be zero.
-        self._fast_broadcasts = 0
-        self._fast_issued = [0] * self.topology.num_processors
-        self._fast_holder_visits = [0] * self.topology.num_processors
+        for counts in (self._fast_issued, self._fast_holder_visits):
+            counts[:] = [0] * len(counts)
         for node in self.nodes:
             node.l1i.reset_stats()
             node.l1d.reset_stats()

@@ -8,7 +8,7 @@ stall fully; the machine internally charges stores, DCB operations and
 prefetches only their partial-overlap share (see
 :class:`~repro.system.config.TimingParameters`).
 
-Besides the one-operation :meth:`TraceProcessor.step` the class offers
+Besides the one-operation :meth:`TraceProcessor.step` the class builds
 ``run_ahead``: the heap scheduler's streak primitive that keeps stepping
 this processor — L1 hits through a fully inlined private path — for as
 long as the global event order provably wants this processor next (see
@@ -33,9 +33,12 @@ class TraceProcessor:
     """Replays one trace; owns one processor's clock.
 
     ``run_ahead(stop_time, stop_pid, target, sample_bound=NO_BOUND)`` is
-    built per-instance as a closure (see :meth:`_build_run_ahead`): most
+    built per-instance as a closure (see :meth:`build_run_ahead`): most
     pops yield a streak of only one or two steps, so the per-call setup
     must be a handful of loads, not a re-binding of every hot reference.
+    The caller keeps the closure: it refers to the processor, so stored
+    on the processor it would form a reference cycle that only the
+    cyclic collector frees — and with it the machine.
     """
 
     def __init__(self, proc_id: int, trace: Trace, machine: Machine) -> None:
@@ -65,7 +68,6 @@ class TraceProcessor:
         # object and shared across runs/repeats of the same workload.
         self._ops, self._addresses, self._gaps = trace.replay_lists()
         self._length = len(self._ops)
-        self.run_ahead = self._build_run_ahead()
 
     @property
     def done(self) -> bool:
@@ -94,7 +96,7 @@ class TraceProcessor:
         self.gap_cycles += gap
         self.index = i + 1
 
-    def _build_run_ahead(self) -> Callable[..., None]:
+    def build_run_ahead(self) -> Callable[..., None]:
         """Build this processor's streak stepper.
 
         The returned ``run_ahead(stop_time, stop_pid, target,

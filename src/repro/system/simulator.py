@@ -293,13 +293,15 @@ class Simulator:
         ]
         heapq.heapify(heap)
         heappush, heappop = heapq.heappush, heapq.heappop
+        if self.runahead == "streak":
+            run_ahead = [p.build_run_ahead() for p in processors]
         # The re-push key is next_time inlined (clock + gap of the next
         # op) and the continue check is ``index < target`` alone: targets
         # never exceed trace length, so the ``done`` test is subsumed.
         #
         # Run-ahead variants: after the popped processor's (mandatory)
         # step, if its next issue key still undercuts the heap top it
-        # runs a *streak* (TraceProcessor.run_ahead) bounded by that
+        # runs a *streak* (TraceProcessor.build_run_ahead) bounded by that
         # top key — the streak executes exactly the steps the reference
         # loop would pop next, so ordering (and every result bit) is
         # unchanged; only the heap traffic and per-step call chain
@@ -328,14 +330,14 @@ class Simulator:
                         if next_time < top_time or (
                             next_time == top_time and proc_id < top[1]
                         ):
-                            soonest.run_ahead(top_time, top[1], target)
+                            run_ahead[proc_id](top_time, top[1], target)
                             i = soonest.index
                             if i >= target:
                                 continue
                             next_time = soonest.clock + soonest._gaps[i]
                         heappush(heap, (next_time, proc_id, soonest))
                     else:
-                        soonest.run_ahead(NO_BOUND, -1, target)
+                        run_ahead[proc_id](NO_BOUND, -1, target)
                 return
             while heap:
                 issue_time, proc_id, soonest = heappop(heap)
@@ -384,7 +386,7 @@ class Simulator:
                         next_time < top_time
                         or (next_time == top_time and proc_id < top[1])
                     ):
-                        soonest.run_ahead(
+                        run_ahead[proc_id](
                             top_time, top[1], target, next_sample
                         )
                         i = soonest.index
@@ -394,7 +396,7 @@ class Simulator:
                     heappush(heap, (next_time, proc_id, soonest))
                 else:
                     if next_time < next_sample:
-                        soonest.run_ahead(NO_BOUND, -1, target, next_sample)
+                        run_ahead[proc_id](NO_BOUND, -1, target, next_sample)
                         i = soonest.index
                         if i >= target:
                             continue

@@ -13,8 +13,8 @@ captured workload:
   :func:`~repro.workloads.benchmarks.build_benchmark`, so trace-driven
   runs flow through the simulator, harness, workload cache, and
   conformance machinery unchanged.
-* :mod:`repro.traces.profiler` — one streaming pass computing the
-  reuse-distance histogram (exact Olken/Fenwick stack distances),
+* :mod:`repro.traces.profiler` — one streaming pass, batched in numpy,
+  computing the reuse-distance histogram (exact LRU stack distances),
   per-region sharing footprints, and the oracle Figure-2
   broadcast-needed/unnecessary profile straight from the trace (golden
   may-hold model, no simulation).

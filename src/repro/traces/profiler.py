@@ -5,24 +5,46 @@ computes three profiles at once, without running the simulator:
 
 * **Reuse-distance histogram** — for every access, the number of
   *distinct* cache lines touched since the previous access to the same
-  line (the LRU stack distance), computed exactly with an Olken-style
-  Fenwick tree over access positions: O(log N) per access. First
-  touches count as *cold*. Finite distances land in power-of-two
-  buckets (``0``, ``1``, ``2-3``, ``4-7``, …).
-* **Per-region sharing footprint** — per region: reader/writer
-  processor bitmasks, access counts, and *upgrades* (the first write by
-  a processor that had previously only read the region). Aggregated
-  into the sharer-count histogram and shared/write-shared fractions.
+  line (the LRU stack distance). First touches count as *cold*. Finite
+  distances land in power-of-two buckets (``0``, ``1``, ``2-3``,
+  ``4-7``, …).
+* **Per-region sharing footprint** — per region: the processors that
+  read or wrote it and *upgrades* (the first write by a processor that
+  had previously only read the region). Aggregated into the
+  sharer-count histogram and shared/write-shared fractions.
 * **Oracle Figure-2 profile** — every access is judged by the
   conformance suite's golden may-hold model
-  (:class:`repro.conformance.golden.GoldenModel`): would a broadcast
-  have been *needed* (some remote processor may hold the line — or, for
+  (:mod:`repro.conformance.golden`): would a broadcast have been
+  *needed* (some remote processor may hold the line — or, for
   instruction fetches, may hold it dirty), or would it have been
   unnecessary? This is the paper's Figure 2 upper bound computed
   directly from the trace. Note the denominator: the profile judges
   **every access**, while the live machine's Figure 2 counters classify
   only *external requests* (cache misses); ``docs/traces.md`` spells
   out the exact reconciliation the differential tests pin.
+
+The pass runs in numpy over fixed-size batches of :data:`BATCH`
+records, carrying state between batches; each part is exact:
+
+* **Reuse distance.** With ``p`` the previous access to the line at
+  ``t`` and ``c0`` the batch start, the distinct lines touched in
+  ``(p, t)`` are those last touched in ``(p, c0)`` — one vectorised
+  prefix query on a Fenwick tree that marks every line's latest
+  position — plus the accesses ``j`` in ``[max(p + 1, c0), t)`` that
+  are their line's first since ``p`` (``previous(j) <= p``): an offline
+  dominance count inside the batch, done by a bottom-up merge sort.
+* **Figure-2 verdicts** come in closed form from
+  :func:`repro.conformance.golden.must_broadcast_batch`, with up to two
+  holders and the dirty owner carried per line.
+* **Footprints** keep the first read and first write position per
+  (region, processor); the sharer counts are a ``bincount`` of those
+  pairs, and an upgrade is a pair whose first read precedes its first
+  write.
+
+Memory grows with the trace: the Fenwick tree takes 4 bytes per access
+(rounded up to a power of two); per-line state takes 20 bytes for each
+line slot of every region touched, plus 24 bytes per (region,
+processor) pair and one batch of work arrays.
 
 All three profiles are pure functions of the event stream *order*, so
 they are invariant to reader chunking; for in-memory workloads the
@@ -33,7 +55,9 @@ own region — preserved *exactly* by region-aligned sampling) and an
 inter-region part (thinned by the sampling rate); only the latter is
 multiplied back up before bucketing, which makes the sampled histogram
 directly comparable to the full trace's even when reuse is dominated by
-short spatial-locality distances.
+short spatial-locality distances. The intra-region part is the same two
+counts restricted to the region: region-mates' carried positions, and
+the dominance count in region-sorted order.
 """
 
 from __future__ import annotations
@@ -41,10 +65,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Union
+
+import numpy as np
 
 from repro.common.errors import WorkloadError
-from repro.conformance.golden import GoldenModel
+from repro.conformance.golden import must_broadcast_batch
 from repro.traces.reader import EventChunk, read_events, workload_to_events
 from repro.workloads.trace import MultiTrace, TraceOp
 
@@ -54,40 +80,15 @@ PROFILE_SCHEMA = "cgct-trace-profile/v1"
 #: Trace operations that write the line (mirror of the golden model).
 _WRITE_OPS = (int(TraceOp.STORE), int(TraceOp.DCBZ))
 
-#: Trace operations that read (install a clean copy).
-_READ_OPS = (int(TraceOp.LOAD), int(TraceOp.IFETCH))
+#: Records per kernel batch. Per-batch cost is O(BATCH log BATCH) in
+#: numpy plus O(log N) Fenwick levels. Larger batches amortise numpy's
+#: per-call overhead but grow the work arrays; at 8,192 the committed
+#: midsize fixture stays inside its memory budget
+#: (``tests/traces/test_memory_budget.py``).
+BATCH = 8192
 
-
-class _Fenwick:
-    """Binary indexed tree over access positions (1-based).
-
-    The profiler marks the most recent position of every live line;
-    when the clock outgrows the capacity, it rebuilds a doubled tree
-    from those marks (O(lines · log N), amortized away by the
-    doubling).
-    """
-
-    __slots__ = ("tree", "size")
-
-    def __init__(self, size: int = 1024, marks: Iterable[int] = ()) -> None:
-        self.size = size
-        self.tree = [0] * (size + 1)
-        for mark in marks:
-            self.add(mark, 1)
-
-    def add(self, index: int, delta: int) -> None:
-        tree = self.tree
-        while index <= self.size:
-            tree[index] += delta
-            index += index & -index
-
-    def prefix(self, index: int) -> int:
-        total = 0
-        tree = self.tree
-        while index > 0:
-            total += tree[index]
-            index -= index & -index
-        return total
+#: "Never" position for pairs that did not read (or write) a region.
+_NEVER = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -101,14 +102,6 @@ class ReuseDistanceHistogram:
     #: bucket index -> count; bucket 0 is distance 0, bucket k>=1 holds
     #: distances in [2^(k-1), 2^k).
     buckets: Dict[int, int] = field(default_factory=dict)
-
-    def record(self, distance: int) -> None:
-        self.finite += 1
-        self.total_distance += distance
-        if distance > self.max_distance:
-            self.max_distance = distance
-        bucket = distance.bit_length()
-        self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
 
     @property
     def mean(self) -> float:
@@ -133,22 +126,6 @@ class ReuseDistanceHistogram:
             "max": self.max_distance,
             "buckets": rows,
         }
-
-
-@dataclass
-class RegionFootprint:
-    """One region's sharing summary."""
-
-    readers: int = 0   # processor bitmask
-    writers: int = 0   # processor bitmask
-    reads: int = 0
-    writes: int = 0
-    flushes: int = 0
-    upgrades: int = 0
-
-    @property
-    def sharers(self) -> int:
-        return bin(self.readers | self.writers).count("1")
 
 
 @dataclass
@@ -245,6 +222,88 @@ class TraceProfile:
         )
 
 
+class _PositionMarks:
+    """Fenwick tree over access positions, queried a batch at a time.
+
+    Position ``t`` is marked iff it is some line's latest access, so
+    ``prefix(p)`` counts the lines whose latest access is at or before
+    ``p``. The tree doubles when the clock outgrows it, rebuilt in place
+    from the live marks one level at a time.
+    """
+
+    __slots__ = ("tree",)
+
+    def __init__(self) -> None:
+        self.tree = np.zeros(1025, dtype=np.int32)
+
+    def reserve(self, clock: int, latest: np.ndarray) -> None:
+        """Make room for positions up to *clock*; *latest* holds every
+        line's mark (0 for slots never touched)."""
+        size = len(self.tree) - 1
+        if clock <= size:
+            return
+        while size < clock:
+            size *= 2
+        tree = np.zeros(size + 1, dtype=np.int32)
+        tree[latest] = 1
+        tree[0] = 0
+        step = 1
+        while step < size:   # node i adds into its parent i + (i & -i)
+            tree[2 * step::2 * step] += tree[step::2 * step]
+            step *= 2
+        self.tree = tree
+
+    def prefix(self, index: np.ndarray) -> np.ndarray:
+        tree = self.tree
+        total = np.zeros(len(index), dtype=np.int64)
+        index = index.copy()
+        while index.any():
+            total += tree[index]   # tree[0] is always 0
+            index &= index - 1
+        return total
+
+    def add(self, index: np.ndarray, delta: np.ndarray) -> None:
+        tree = self.tree
+        size = len(tree) - 1
+        while len(index):
+            np.add.at(tree, index, delta)
+            index = index + (index & -index)
+            keep = index <= size
+            index, delta = index[keep], delta[keep]
+
+
+def _earlier_at_most(order: np.ndarray) -> np.ndarray:
+    """``#{j < i : v[j] <= v[i]}`` for every ``i``, given the stable sort
+    *order* of the values ``v``.
+
+    Bottom-up merge sort over the ranks: merging two sibling blocks puts
+    a right-block element behind exactly the left-block elements of
+    smaller rank, so its position gain over the merge is that count.
+    Ties rank by index, which makes ``v[j] <= v[i]`` for ``j < i`` the
+    same as ``rank[j] < rank[i]``.
+    """
+    n = len(order)
+    shift = max(n - 1, 1).bit_length()
+    mask = (1 << shift) - 1
+    index = np.arange(n)
+    elements = index                  # current order, sorted per block
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = index
+    position = np.zeros(n, dtype=np.int64)   # within the element's block
+    merged = np.empty(n, dtype=np.int64)
+    counts = np.zeros(n, dtype=np.int64)
+    level = 0
+    while (1 << level) < n:
+        start = (elements >> (level + 1)) << (level + 1)
+        keys = np.sort((start << shift) | ranks[elements])
+        elements = order[keys & mask]
+        merged[elements] = index - (keys >> shift)
+        counts += (merged - position) * ((index >> level) & 1)
+        position, merged = merged, position
+        level += 1
+    return counts
+
+
 class TraceProfiler:
     """Single-pass streaming profiler; feed chunks, then ``finish()``.
 
@@ -273,119 +332,241 @@ class TraceProfiler:
             raise WorkloadError(
                 f"distance_scale must be >= 1, got {distance_scale}"
             )
-        self.line_shift = line_bytes.bit_length() - 1
-        self.region_shift = region_bytes.bit_length() - 1
+        self.line_shift = np.uint64(line_bytes.bit_length() - 1)
+        self.region_shift = np.uint64(region_bytes.bit_length() - 1)
         self.line_bytes = line_bytes
         self.region_bytes = region_bytes
         self.distance_scale = distance_scale
         self.declared_processors = num_processors
         self.top_proc = -1
         self.accesses = 0
-        self.op_counts = [0] * (max(TraceOp) + 1)
-        self.reuse = ReuseDistanceHistogram()
-        self.oracle = OracleProfile()
-        self.regions: Dict[int, RegionFootprint] = {}
-        # Reuse-distance state: most recent position per line + Fenwick
-        # marks over positions (position t marked iff it is some line's
-        # most recent access).
-        self._last_pos: Dict[int, int] = {}
-        self._fenwick = _Fenwick()
+        self.op_counts = np.zeros(len(TraceOp), dtype=np.int64)
+        # Regions get dense ids in first-touch order; line slot
+        # ``region_id << mate_shift | offset`` indexes the per-line state.
+        self._region_ids: Dict[int, int] = {}
+        self._mate_shift = (region_bytes // line_bytes).bit_length() - 1
+        self._last_pos = np.zeros(0, dtype=np.int64)   # 0: never touched
+        self._holders = np.full((0, 2), -1, dtype=np.int32)
+        self._owner = np.full(0, -1, dtype=np.int32)
+        self._marks = _PositionMarks()
         self._clock = 0
-        # Golden model: processor count finalized at finish(); 64 covers
-        # every machine the repo builds and the model only masks bits.
-        self._golden = GoldenModel(64)
-        self._op_names = [op.name for op in TraceOp]
+        self._lines = 0
+        # Reuse histogram: bucket k>=1 holds distances in [2^(k-1), 2^k).
+        self._cold = 0
+        self._total_distance = 0
+        self._max_distance = 0
+        self._buckets = np.zeros(65, dtype=np.int64)
+        # Oracle verdict counts per op code: [needed, unnecessary].
+        self._verdicts = np.zeros((len(TraceOp), 2), dtype=np.int64)
+        # First read / first write position per (region id, processor).
+        # Batches queue their pairs; the queue merges into the sorted
+        # ``_pairs`` once it holds more records than ``_pairs``, so each
+        # merge costs at most about twice the records it absorbs.
+        self._pairs = _Pairs.empty()
+        self._pending: List[_Pairs] = []
+        self._pending_size = 0
 
     # ------------------------------------------------------------------
     def feed(self, chunk: EventChunk) -> None:
         """Consume one event chunk (stream order is the interleaving)."""
-        procs = chunk.procs.tolist()
-        ops = chunk.ops.tolist()
-        addresses = chunk.addresses.tolist()
-        line_shift = self.line_shift
-        region_shift = self.region_shift
-        scale = self.distance_scale
-        region_line_shift = region_shift - line_shift
-        lines_per_region = 1 << region_line_shift
+        n = len(chunk)
+        if not n:
+            return
+        self.top_proc = max(self.top_proc, int(chunk.procs.max()))
+        self.op_counts += np.bincount(chunk.ops, minlength=len(TraceOp))
+        self.accesses += n
+        for start in range(0, n, BATCH):
+            stop = start + BATCH
+            self._batch(
+                chunk.procs[start:stop].astype(np.int64, copy=False),
+                chunk.ops[start:stop],
+                chunk.addresses[start:stop].astype(np.uint64, copy=False),
+            )
+
+    def _slots(self, addresses: np.ndarray) -> np.ndarray:
+        """Dense per-line slot of every address, registering new regions."""
+        regions, inverse = np.unique(
+            addresses >> self.region_shift, return_inverse=True,
+        )
+        known = self._region_ids
+        ids = np.fromiter(
+            (known.get(region, -1) for region in regions.tolist()),
+            dtype=np.int64, count=len(regions),
+        )
+        new = np.flatnonzero(ids < 0)
+        if len(new):
+            ids[new] = np.arange(len(known), len(known) + len(new))
+            known.update(zip(regions[new].tolist(), ids[new].tolist()))
+            self._grow(len(known) << self._mate_shift)
+        offsets = (addresses >> self.line_shift).astype(np.int64) \
+            & ((1 << self._mate_shift) - 1)
+        return (ids[inverse] << self._mate_shift) | offsets
+
+    def _grow(self, slots: int) -> None:
+        have = len(self._last_pos)
+        if slots <= have:
+            return
+        size = max(slots, 2 * have, 1024)
+        pad = size - have
+        self._last_pos = np.concatenate(
+            [self._last_pos, np.zeros(pad, dtype=np.int64)])
+        self._holders = np.concatenate(
+            [self._holders, np.full((pad, 2), -1, dtype=np.int32)])
+        self._owner = np.concatenate(
+            [self._owner, np.full(pad, -1, dtype=np.int32)])
+
+    def _batch(
+        self, procs: np.ndarray, ops: np.ndarray, addresses: np.ndarray,
+    ) -> None:
+        n = len(procs)
+        slots = self._slots(addresses)
+        first_pos = self._clock + 1
+        positions = np.arange(first_pos, first_pos + n)
+        self._reuse(slots, positions)
+        self._clock += n
+
+        must = must_broadcast_batch(
+            procs, ops, slots, self._holders, self._owner,
+        )
+        self._verdicts += np.stack([
+            np.bincount(ops[must], minlength=len(TraceOp)),
+            np.bincount(ops[~must], minlength=len(TraceOp)),
+        ], axis=1)
+
+        # Purges share nothing; every other op reads or writes.
+        uses = (ops != TraceOp.DCBF) & (ops != TraceOp.DCBI)
+        if uses.any():
+            keys = ((slots[uses] >> self._mate_shift) << 16) | procs[uses]
+            write = (ops[uses] == TraceOp.STORE) | (ops[uses] == TraceOp.DCBZ)
+            at = positions[uses]
+            self._add_pairs(_Pairs.reduce(
+                keys, np.where(write, _NEVER, at), np.where(write, at, _NEVER),
+            ))
+
+    def _reuse(self, slots: np.ndarray, positions: np.ndarray) -> None:
+        """Reuse distances of one batch; advances the carried marks."""
+        n = len(slots)
+        first_pos = int(positions[0])
         last_pos = self._last_pos
-        fenwick = self._fenwick
-        reuse = self.reuse
-        regions = self.regions
-        golden = self._golden
-        oracle = self.oracle
-        per_op = oracle.per_op
-        op_names = self._op_names
-        op_counts = self.op_counts
-        clock = self._clock
-        for proc, op, address in zip(procs, ops, addresses):
-            if proc > self.top_proc:
-                self.top_proc = proc
-            op_counts[op] += 1
-            line = address >> line_shift
-            region = address >> region_shift
+        order = np.argsort(slots, kind="stable")
+        sorted_slots = slots[order]
+        first = np.empty(n, dtype=bool)
+        first[0] = True
+        np.not_equal(sorted_slots[1:], sorted_slots[:-1], out=first[1:])
+        last = np.append(first[1:], True)
+        previous_sorted = np.empty(n, dtype=np.int64)
+        previous_sorted[1:] = positions[order[:-1]]
+        carried = last_pos[sorted_slots[first]]
+        previous_sorted[first] = carried
+        previous = np.empty(n, dtype=np.int64)
+        previous[order] = previous_sorted
 
-            # Reuse distance (Olken/Fenwick).
-            clock += 1
-            if clock > fenwick.size:
-                fenwick = self._fenwick = _Fenwick(
-                    fenwick.size * 2, marks=last_pos.values(),
+        warm = np.flatnonzero(previous)
+        self._cold += n - len(warm)
+        if len(warm):
+            distance = self._distinct_since(previous, warm, first_pos)
+            if self.distance_scale != 1:
+                same = self._same_region_since(
+                    slots, previous, warm, first_pos,
                 )
-            previous = last_pos.get(line)
-            if previous is None:
-                reuse.cold += 1
-            else:
-                distance = fenwick.prefix(clock - 1) \
-                    - fenwick.prefix(previous)
-                if scale != 1 and distance:
-                    # Region-aware SHARDS correction: region-aligned
-                    # sampling keeps a line's region-mates, so the
-                    # intra-region part of the distance is *exact* and
-                    # only inter-region lines were thinned by `rate`.
-                    # The region holds <= region/line lines; scan them.
-                    base = (line >> region_line_shift) << region_line_shift
-                    same = 0
-                    for mate in range(base, base + lines_per_region):
-                        if mate != line:
-                            pos = last_pos.get(mate)
-                            if pos is not None and pos > previous:
-                                same += 1
-                    distance = same + (distance - same) * scale
-                reuse.record(distance)
-                fenwick.add(previous, -1)
-            fenwick.add(clock, 1)
-            last_pos[line] = clock
+                distance = same + (distance - same) * self.distance_scale
+            self._record(distance)
 
-            # Region sharing footprint.
-            footprint = regions.get(region)
-            if footprint is None:
-                footprint = regions[region] = RegionFootprint()
-            bit = 1 << proc
-            if op in _WRITE_OPS:
-                if (footprint.readers & bit) \
-                        and not (footprint.writers & bit):
-                    footprint.upgrades += 1
-                footprint.writers |= bit
-                footprint.writes += 1
-            elif op in _READ_OPS:
-                footprint.readers |= bit
-                footprint.reads += 1
-            else:  # DCBF / DCBI purge; count them, they share nothing
-                footprint.flushes += 1
+        # Move each touched line's mark to its latest position.
+        latest = positions[order[last]]
+        seen = carried[carried > 0]
+        self._lines += len(carried) - len(seen)
+        self._marks.reserve(int(positions[-1]), last_pos)
+        last_pos[sorted_slots[last]] = latest
+        self._marks.add(
+            np.concatenate([seen, latest]),
+            np.concatenate([
+                np.full(len(seen), -1, dtype=np.int32),
+                np.ones(len(latest), dtype=np.int32),
+            ]),
+        )
 
-            # Oracle Figure 2 verdict (golden may-hold model).
-            verdict = golden.access(proc, TraceOp(op), line)
-            name = op_names[op]
-            cell = per_op.get(name)
-            if cell is None:
-                cell = per_op[name] = [0, 0]
-            if verdict.must_broadcast:
-                oracle.needed += 1
-                cell[0] += 1
-            else:
-                oracle.unnecessary += 1
-                cell[1] += 1
-        self._clock = clock
-        self.accesses += len(procs)
+    def _distinct_since(
+        self, previous: np.ndarray, warm: np.ndarray, first_pos: int,
+    ) -> np.ndarray:
+        """Distinct other lines touched since each warm access's previous.
+
+        With ``p`` the previous access and ``c0`` the batch start, lines
+        last touched in ``(p, c0)`` are counted on the carried marks.
+        Lines first touched since then inside the batch are the accesses
+        ``j`` in ``[a, t)``, ``a = max(p + 1, c0)``, whose own previous
+        access is at most ``p``. Every ``j < a`` in the batch satisfies
+        that trivially (``previous(j) < j <= p``), so the in-batch count
+        is the dominance count over ``[c0, t)`` minus ``a - c0``.
+        """
+        p = previous[warm]
+        distance = _earlier_at_most(np.argsort(previous, kind="stable"))[warm] \
+            - np.maximum(p - first_pos + 1, 0)
+        before = np.flatnonzero(p < first_pos)
+        distance[before] += self._lines - self._marks.prefix(p[before])
+        return distance
+
+    def _same_region_since(
+        self,
+        slots: np.ndarray,
+        previous: np.ndarray,
+        warm: np.ndarray,
+        first_pos: int,
+    ) -> np.ndarray:
+        """The part of :meth:`_distinct_since` within the line's region.
+
+        The same two counts in region-sorted order: region-mates' carried
+        latest positions, then the dominance count with values ranked
+        region-major, so the accesses to earlier regions always count
+        and are subtracted, with the region's accesses before ``a``, as
+        the offset ``lo``.
+        """
+        n = len(slots)
+        regions = slots >> self._mate_shift
+        order = np.argsort(regions, kind="stable")
+        at = np.empty(n, dtype=np.int64)
+        at[order] = np.arange(n)
+        p = previous[warm]
+        # Where the region's accesses from the in-batch start a begin.
+        lo = np.searchsorted(
+            regions[order] * n + order,
+            regions[warm] * n + np.maximum(p - first_pos + 1, 0),
+        )
+        same = _earlier_at_most(
+            np.lexsort((previous[order], regions[order])),
+        )[at[warm]] - lo
+        before = np.flatnonzero(p < first_pos)
+        mates = (regions[warm[before], None] << self._mate_shift) \
+            + np.arange(1 << self._mate_shift)
+        same[before] += (
+            self._last_pos[mates] > p[before, None]
+        ).sum(axis=1)
+        return same
+
+    def _record(self, distance: np.ndarray) -> None:
+        self._total_distance += int(distance.sum())
+        self._max_distance = max(self._max_distance, int(distance.max()))
+        # frexp's exponent is the bit length (exact below 2**53).
+        self._buckets += np.bincount(
+            np.frexp(distance.astype(np.float64))[1],
+            minlength=len(self._buckets),
+        )
+
+    def _add_pairs(self, pairs: "_Pairs") -> None:
+        self._pending.append(pairs)
+        self._pending_size += len(pairs.keys)
+        if self._pending_size > max(len(self._pairs.keys), 4096):
+            self._merge_pairs()
+
+    def _merge_pairs(self) -> "_Pairs":
+        if self._pending:
+            self._pairs = _Pairs.reduce(*(
+                np.concatenate(column)
+                for column in zip(self._pairs, *self._pending)
+            ))
+            self._pending = []
+            self._pending_size = 0
+        return self._pairs
 
     # ------------------------------------------------------------------
     def finish(self) -> TraceProfile:
@@ -398,17 +579,18 @@ class TraceProfiler:
                 f"trace events name processor {self.top_proc} but only "
                 f"{width} processors were declared"
             )
-        shared = write_shared = upgrades = 0
-        sharer_histogram: Dict[int, int] = {}
-        for footprint in self.regions.values():
-            sharers = footprint.sharers
-            sharer_histogram[sharers] = \
-                sharer_histogram.get(sharers, 0) + 1
-            if sharers >= 2:
-                shared += 1
-                if footprint.writers:
-                    write_shared += 1
-            upgrades += footprint.upgrades
+        pairs = self._merge_pairs()
+        touched = len(self._region_ids)
+        region = pairs.keys >> 16
+        sharers = np.bincount(region, minlength=touched)
+        written = np.bincount(
+            region[pairs.first_write != _NEVER], minlength=touched,
+        ) > 0
+        shared = sharers >= 2
+        upgrades = (pairs.first_write != _NEVER) \
+            & (pairs.first_read < pairs.first_write)
+        histogram = np.bincount(sharers)
+        names = [op.name for op in TraceOp]
         return TraceProfile(
             accesses=self.accesses,
             num_processors=width,
@@ -416,18 +598,63 @@ class TraceProfiler:
             region_bytes=self.region_bytes,
             distance_scale=self.distance_scale,
             op_counts={
-                self._op_names[code]: count
+                names[code]: int(count)
                 for code, count in enumerate(self.op_counts)
                 if count
             },
-            reuse=self.reuse,
-            oracle=self.oracle,
-            regions_touched=len(self.regions),
-            regions_shared=shared,
-            regions_write_shared=write_shared,
-            upgrades=upgrades,
-            sharer_histogram=sharer_histogram,
-            lines_touched=len(self._last_pos),
+            reuse=ReuseDistanceHistogram(
+                cold=self._cold,
+                finite=int(self._buckets.sum()),
+                total_distance=self._total_distance,
+                max_distance=self._max_distance,
+                buckets={
+                    int(bucket): int(self._buckets[bucket])
+                    for bucket in np.flatnonzero(self._buckets)
+                },
+            ),
+            oracle=OracleProfile(
+                needed=int(self._verdicts[:, 0].sum()),
+                unnecessary=int(self._verdicts[:, 1].sum()),
+                per_op={
+                    names[code]: [int(c) for c in self._verdicts[code]]
+                    for code in np.flatnonzero(self._verdicts.sum(axis=1))
+                },
+            ),
+            regions_touched=touched,
+            regions_shared=int(shared.sum()),
+            regions_write_shared=int((shared & written).sum()),
+            upgrades=int(upgrades.sum()),
+            sharer_histogram={
+                int(k): int(histogram[k]) for k in np.flatnonzero(histogram)
+            },
+            lines_touched=self._lines,
+        )
+
+
+class _Pairs(NamedTuple):
+    """First read and first write position per (region id, processor)."""
+
+    keys: np.ndarray          # region id << 16 | processor, sorted
+    first_read: np.ndarray    # _NEVER when the pair never read
+    first_write: np.ndarray   # _NEVER when the pair never wrote
+
+    @classmethod
+    def empty(cls) -> "_Pairs":
+        return cls(*(np.zeros(0, dtype=np.int64) for _ in range(3)))
+
+    @classmethod
+    def reduce(
+        cls, keys: np.ndarray, first_read: np.ndarray,
+        first_write: np.ndarray,
+    ) -> "_Pairs":
+        """Group by key, keeping the earliest read and write."""
+        order = np.argsort(keys)
+        keys = keys[order]
+        starts = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+        return cls(
+            keys[starts],
+            np.minimum.reduceat(first_read[order], starts),
+            np.minimum.reduceat(first_write[order], starts),
         )
 
 

@@ -168,8 +168,11 @@ def sample_file(
     """Sample a trace file and emit the sample-vs-full error report.
 
     Three streaming passes (full profile, filtered write, sampled
-    profile), constant memory in the trace length. Returns the report
-    dict; the caller decides where to persist it.
+    profile). The write holds one reader chunk at a time; each profile
+    grows with the trace it reads — 4 bytes per access for the
+    profiler's Fenwick tree plus per-line and per-region state (see
+    :mod:`repro.traces.profiler`). Returns the report dict; the caller
+    decides where to persist it.
     """
     src, dst = Path(src), Path(dst)
     info = detect_format(src)

@@ -3,7 +3,8 @@
 scipy is needed only for confidence intervals over two or more samples,
 and costs about a second and 60 MB to import, so no entry point may load
 it at start-up. The simulator layers (``repro.system``) must not pull in
-the experiment harness either. Each check runs the real command in a
+the experiment harness either, and importing one harness module must
+not load the others. Each check runs the real command in a
 fresh interpreter with ``-X importtime`` and reads the modules it
 imported from stderr.
 """
@@ -57,3 +58,23 @@ def test_system_does_not_import_harness():
     modules = _imported_modules("-c", "import repro.system")
     assert "repro.system" in modules
     assert not {m for m in modules if m.startswith("repro.harness")}
+
+
+def test_runlog_does_not_import_the_harness():
+    """The ``traces`` tools import the run log on their first ``--runlog``
+    call; the package ``__init__`` must not drag in the rest."""
+    modules = _imported_modules("-c", "import repro.harness.runlog")
+    assert "repro.harness.runlog" in modules
+    assert not modules & {
+        "repro.harness.experiments", "repro.harness.parallel",
+        "multiprocessing",
+    }
+
+
+def test_harness_exports_every_public_name():
+    import repro.harness as harness
+
+    for name in harness.__all__:
+        assert getattr(harness, name) is not None, name
+    with pytest.raises(AttributeError):
+        getattr(harness, "no_such_name")

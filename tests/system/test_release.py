@@ -1,0 +1,43 @@
+"""A dropped simulator is freed by reference counting alone.
+
+Nothing a plain run installs may close a reference cycle back to the
+machine (the residency hooks, the probe-debt closures, the run-ahead
+streaks): otherwise every run's machine outlives it until the next
+full cyclic collection, and a process running many traces in a row
+holds several machines at once. Attached observers (telemetry, a
+tracer, a sanitizer) are not covered.
+"""
+
+import gc
+import weakref
+
+import pytest
+
+from repro.system.config import SystemConfig
+from repro.system.simulator import Simulator
+from repro.workloads.benchmarks import build_benchmark
+
+CONFIGS = {
+    "baseline": SystemConfig.paper_baseline,
+    "cgct": SystemConfig.paper_cgct,
+}
+
+
+@pytest.mark.parametrize("runahead", ["streak", "off"])
+@pytest.mark.parametrize("snoop", ["bitmask", "walk"])
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_dropped_simulator_frees_its_machine(config, snoop, runahead):
+    workload = build_benchmark("tpc-b", 4, seed=0, ops_per_processor=400)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        simulator = Simulator(
+            CONFIGS[config](), snoop=snoop, runahead=runahead,
+        )
+        simulator.run(workload, warmup_fraction=0.25)
+        machine = weakref.ref(simulator.machine)
+        del simulator
+        assert machine() is None
+    finally:
+        if enabled:
+            gc.enable()
