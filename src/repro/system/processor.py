@@ -9,10 +9,10 @@ prefetches only their partial-overlap share (see
 :class:`~repro.system.config.TimingParameters`).
 
 Besides the one-operation :meth:`TraceProcessor.step` the class builds
-``run_ahead``: the heap scheduler's streak primitive that keeps stepping
+``run_ahead``: the stepping loop's streak primitive that keeps stepping
 this processor — L1 hits through a fully inlined private path — for as
 long as the global event order provably wants this processor next (see
-:class:`~repro.system.simulator.Simulator`).
+:meth:`~repro.system.simulator.Simulator._run_until`).
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ NO_BOUND = sys.maxsize
 class TraceProcessor:
     """Replays one trace; owns one processor's clock.
 
-    ``run_ahead(stop_time, stop_pid, target, sample_bound=NO_BOUND)`` is
-    built per-instance as a closure (see :meth:`build_run_ahead`): most
+    ``run_ahead(stop_time, stop_pid, target, sample_bound)`` is built
+    per-instance as a closure (see :meth:`build_run_ahead`): most
     pops yield a streak of only one or two steps, so the per-call setup
     must be a handful of loads, not a re-binding of every hot reference.
     The caller keeps the closure: it refers to the processor, so stored
@@ -100,17 +100,17 @@ class TraceProcessor:
         """Build this processor's streak stepper.
 
         The returned ``run_ahead(stop_time, stop_pid, target,
-        sample_bound=NO_BOUND)`` is called by the heap scheduler right
-        after popping this processor: it executes the popped operation
-        unconditionally, then keeps going while the *next* issue key
-        ``(next_time, proc_id)`` stays strictly below ``(stop_time,
-        stop_pid)`` — the scheduler's current heap-top key — and
-        ``next_time`` stays below ``sample_bound`` (the next telemetry
-        interval boundary). Within that window every step is exactly the
-        operation the reference pop/push loop would execute next, so the
+        sample_bound)`` is called by the stepping loop after the popped
+        processor's mandatory step, once it has checked that the next
+        operation may run: it executes that operation unconditionally,
+        then keeps going while the *next* issue key ``(next_time,
+        proc_id)`` stays strictly below ``(stop_time, stop_pid)`` — the
+        loop's current heap-top key — and ``next_time`` stays below
+        ``sample_bound`` (the next telemetry interval boundary, or
+        ``NO_BOUND``). Within that window every step is exactly the
+        operation a one-step-per-pick loop would execute next, so the
         global event order — and with it every counter and timestamp —
-        is bit-identical to single-stepping (the ``runahead="off"``
-        reference path).
+        is bit-identical to single-stepping.
 
         Each step is :meth:`step` with the call chain flattened: the L1
         probe is inlined (replicating
@@ -120,11 +120,10 @@ class TraceProcessor:
         continuations so the lookup happens once either way. Hit/miss
         counters accumulate in locals and flush when the streak ends,
         which is always before anything can read them: telemetry samples
-        only at streak boundaries, the sanitizer and observer loops
-        never run streaks, and results are collected after the last
-        streak ends. With a tracer attached the probe is disabled and
-        every operation dispatches through the machine, keeping the
-        tracer's L1-hit spans; ``target`` bounds partial (warmup)
+        only at streak boundaries, and results are collected after the
+        last streak ends. The loop never streaks with a step observer, a
+        sanitizer or a tracer attached (the inlined probe skips the
+        tracer's L1-hit hook); ``target`` bounds partial (warmup)
         replays. All invariant references live in the closure: a
         one-step streak (the common case at 32p/64p) costs only a few
         self loads on top of the step itself.
@@ -153,16 +152,12 @@ class TraceProcessor:
         load_miss = machine.load_miss
         store_miss = machine.store_miss
         ifetch_miss = machine.ifetch_miss
-        # The tracer hooks l1_hit inside machine.load/store/ifetch, so a
-        # traced run must dispatch every operation through the machine;
-        # the streak still skips the heap, but not the call.
-        inline_l1 = machine._tracer is None
 
         def run_ahead(
             stop_time: int,
             stop_pid: int,
             target: int,
-            sample_bound: int = NO_BOUND,
+            sample_bound: int,
         ) -> None:
             clock = self.clock
             i = self.index
@@ -172,95 +167,72 @@ class TraceProcessor:
             i_hits = 0
             d_misses = 0
             i_misses = 0
-            if inline_l1:
-                while True:
-                    gap = gaps[i]
-                    issue_at = clock + gap
-                    op = ops[i]
-                    if op == 0:  # LOAD
-                        line = lines[i]
-                        entries = d_sets[line & d_mask]
-                        tag = line >> d_tag_shift
-                        entry = entries.pop(tag, None)
-                        if entry is not None:
-                            entries[tag] = entry  # reinsertion makes it MRU
+            while True:
+                gap = gaps[i]
+                issue_at = clock + gap
+                op = ops[i]
+                if op == 0:  # LOAD
+                    line = lines[i]
+                    entries = d_sets[line & d_mask]
+                    tag = line >> d_tag_shift
+                    entry = entries.pop(tag, None)
+                    if entry is not None:
+                        entries[tag] = entry  # reinsertion makes it MRU
+                        d_hits += 1
+                        stall = hit_cycles
+                    else:
+                        d_misses += 1
+                        stall = load_miss(pid, addresses[i], issue_at)
+                elif op == 1:  # STORE
+                    line = lines[i]
+                    entries = d_sets[line & d_mask]
+                    tag = line >> d_tag_shift
+                    entry = entries.pop(tag, None)
+                    if entry is not None:
+                        entries[tag] = entry
+                        if entry.state.is_writable:
                             d_hits += 1
                             stall = hit_cycles
                         else:
-                            d_misses += 1
-                            stall = load_miss(pid, addresses[i], issue_at)
-                    elif op == 1:  # STORE
-                        line = lines[i]
-                        entries = d_sets[line & d_mask]
-                        tag = line >> d_tag_shift
-                        entry = entries.pop(tag, None)
-                        if entry is not None:
-                            entries[tag] = entry
-                            if entry.state.is_writable:
-                                d_hits += 1
-                                stall = hit_cycles
-                            else:
-                                # The LRU touch already happened — a
-                                # write miss on a SHARED copy still
-                                # promotes the line, as in L1Cache.lookup.
-                                d_misses += 1
-                                stall = store_miss(pid, addresses[i], issue_at)
-                        else:
+                            # The LRU touch already happened — a
+                            # write miss on a SHARED copy still
+                            # promotes the line, as in L1Cache.lookup.
                             d_misses += 1
                             stall = store_miss(pid, addresses[i], issue_at)
-                    elif op == 2:  # IFETCH
-                        line = lines[i]
-                        entries = i_sets[line & i_mask]
-                        tag = line >> i_tag_shift
-                        entry = entries.pop(tag, None)
-                        if entry is not None:
-                            entries[tag] = entry
-                            i_hits += 1
-                            stall = hit_cycles
-                        else:
-                            i_misses += 1
-                            stall = ifetch_miss(pid, addresses[i], issue_at)
-                    else:  # DCBZ / DCBF / DCBI: no L1-hit path exists
-                        stall = dispatch[op](pid, addresses[i], issue_at)
-                    if stall < 0:
-                        raise SimulationError(
-                            f"processor {pid}: negative stall {stall} at op {i}"
-                        )
-                    clock = issue_at + stall
-                    stall_total += stall
-                    gap_total += gap
-                    i += 1
-                    if i >= target:
-                        break
-                    next_time = clock + gaps[i]
-                    if (
-                        next_time > stop_time
-                        or next_time >= sample_bound
-                        or (next_time == stop_time and pid > stop_pid)
-                    ):
-                        break
-            else:
-                while True:
-                    gap = gaps[i]
-                    issue_at = clock + gap
-                    stall = dispatch[ops[i]](pid, addresses[i], issue_at)
-                    if stall < 0:
-                        raise SimulationError(
-                            f"processor {pid}: negative stall {stall} at op {i}"
-                        )
-                    clock = issue_at + stall
-                    stall_total += stall
-                    gap_total += gap
-                    i += 1
-                    if i >= target:
-                        break
-                    next_time = clock + gaps[i]
-                    if (
-                        next_time > stop_time
-                        or next_time >= sample_bound
-                        or (next_time == stop_time and pid > stop_pid)
-                    ):
-                        break
+                    else:
+                        d_misses += 1
+                        stall = store_miss(pid, addresses[i], issue_at)
+                elif op == 2:  # IFETCH
+                    line = lines[i]
+                    entries = i_sets[line & i_mask]
+                    tag = line >> i_tag_shift
+                    entry = entries.pop(tag, None)
+                    if entry is not None:
+                        entries[tag] = entry
+                        i_hits += 1
+                        stall = hit_cycles
+                    else:
+                        i_misses += 1
+                        stall = ifetch_miss(pid, addresses[i], issue_at)
+                else:  # DCBZ / DCBF / DCBI: no L1-hit path exists
+                    stall = dispatch[op](pid, addresses[i], issue_at)
+                if stall < 0:
+                    raise SimulationError(
+                        f"processor {pid}: negative stall {stall} at op {i}"
+                    )
+                clock = issue_at + stall
+                stall_total += stall
+                gap_total += gap
+                i += 1
+                if i >= target:
+                    break
+                next_time = clock + gaps[i]
+                if (
+                    next_time > stop_time
+                    or next_time >= sample_bound
+                    or (next_time == stop_time and pid > stop_pid)
+                ):
+                    break
             self.clock = clock
             self.index = i
             self.stall_cycles += stall_total

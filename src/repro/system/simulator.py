@@ -111,7 +111,7 @@ class RunResult:
 
 
 class Simulator:
-    """Builds a machine and replays a multiprocessor trace on it.
+    """Builds a machine and replays a multiprocessor trace on it, once.
 
     ``telemetry`` (a
     :class:`~repro.telemetry.registry.TelemetryRegistry`) instruments the
@@ -119,16 +119,11 @@ class Simulator:
     simulated time advances. Telemetry only records — the simulated
     machine's behaviour and results are bit-identical with or without it.
 
-    ``scheduler`` selects the event-ordering implementation: ``"heap"``
-    (the default, O(log P) per operation) or ``"linear"`` (the original
-    O(P) ``min()`` scan). Both produce bit-identical results; the linear
-    scheduler exists as the reference for the equivalence tests.
-
     ``snoop`` selects the machine's phase-1 snoop implementation:
     ``"bitmask"`` (the default holder-bitmask fast path) or ``"walk"``
     (the original per-peer loop, the reference for the snoop-equivalence
     tests). Both produce bit-identical results — see
-    :class:`~repro.system.machine.Machine`.
+    :class:`~repro.system.machine.Machine`, which validates it.
 
     ``sanitizer`` (a
     :class:`~repro.validate.sanitizer.CoherenceSanitizer`) audits the
@@ -142,8 +137,7 @@ class Simulator:
     immediately before each processor step issues, in global step order.
     The conformance harness (:mod:`repro.conformance`) uses it to learn
     the exact interleaving the scheduler chose, so the golden model can
-    replay the same access order. Observed runs take a dedicated loop;
-    the plain hot loops are untouched and pay nothing.
+    replay the same access order.
 
     ``tracer`` (a :class:`~repro.obs.simtrace.SimTracer`) records causal
     per-transaction spans — every memory access with its lookup, snoop,
@@ -152,46 +146,25 @@ class Simulator:
     or without it (equivalence-tested), and a machine without a tracer
     pays one ``is None`` check per instrumented site.
 
-    ``runahead`` selects the heap scheduler's streak behaviour:
-    ``"streak"`` (the default) lets a popped processor keep stepping —
-    L1 hits through an inlined private path — for as long as its next
-    issue key stays below the heap top, i.e. exactly as long as the
-    reference order would pop it again anyway; ``"off"`` single-steps
-    every pop (the reference path for the run-ahead equivalence
-    battery). Both produce bit-identical results. Run-ahead applies to
-    the plain and telemetry heap loops only: observed runs disable it
-    (the observer must see every step boundary before it issues), the
-    sanitizer loop keeps its own audit stride, and the linear scheduler
-    is itself a reference path.
+    Every mode runs the one stepping loop, :meth:`_run_until`. A
+    simulator runs one workload: its machine keeps the state and
+    counters of that run, so :meth:`run` refuses a second call.
     """
 
     def __init__(
         self, config: SystemConfig, seed: int = 0, telemetry=None,
-        scheduler: str = "heap", sanitizer=None, step_observer=None,
-        snoop: str = "bitmask", tracer=None, runahead: str = "streak",
+        sanitizer=None, step_observer=None, snoop: str = "bitmask",
+        tracer=None,
     ) -> None:
-        if scheduler not in ("heap", "linear"):
-            raise SimulationError(
-                f"scheduler must be 'heap' or 'linear', got {scheduler!r}"
-            )
-        if snoop not in ("walk", "bitmask"):
-            raise SimulationError(
-                f"snoop must be 'walk' or 'bitmask', got {snoop!r}"
-            )
-        if runahead not in ("streak", "off"):
-            raise SimulationError(
-                f"runahead must be 'streak' or 'off', got {runahead!r}"
-            )
         self.config = config
         self.seed = seed
         self.telemetry = telemetry
-        self.scheduler = scheduler
         self.snoop = snoop
-        self.runahead = runahead
         self.sanitizer = sanitizer
         self.step_observer = step_observer
         self.tracer = tracer
         self.machine = Machine(config, seed=seed, snoop=snoop)
+        self._ran = False
         if telemetry is not None:
             self.machine.attach_telemetry(telemetry)
         if tracer is not None:
@@ -209,7 +182,15 @@ class Simulator:
         trace to warm caches and RCAs (the paper starts from cache
         checkpoints, Section 4), then resets all statistics; cycles and
         counters in the result cover only the measured portion.
+
+        Raises :class:`~repro.common.errors.SimulationError` when called
+        a second time: the machine is not reset between runs, and the
+        result's ``stats`` is the machine's live counter object.
         """
+        if self._ran:
+            raise SimulationError(
+                "Simulator.run is one-shot; build a new Simulator per run"
+            )
         if workload.num_processors != self.config.num_processors:
             raise SimulationError(
                 f"workload has {workload.num_processors} traces but the "
@@ -221,6 +202,7 @@ class Simulator:
             )
         if validate:
             workload.validate(self.config.geometry)
+        self._ran = True
         processors = [
             TraceProcessor(p, trace, self.machine)
             for p, trace in enumerate(workload.per_processor)
@@ -255,269 +237,68 @@ class Simulator:
         A binary heap keyed ``(next_time, proc_id)`` yields the earliest
         next issue time, ties broken by lowest processor ID — exactly the
         order a linear ``min()`` scan over an ID-ordered list produces
-        (and :meth:`_run_until_linear` still does, as the reference the
-        equivalence tests check against). The heap is sound because a
-        processor's ``next_time`` only changes when *that* processor
-        steps: every entry's key is current when it is popped, so no
-        re-keying or lazy invalidation is needed. O(log P) per operation
-        instead of O(P).
+        (the reference the stepping-equivalence tests check against).
+        The heap is sound because a processor's ``next_time`` only
+        changes when *that* processor steps: every entry's key is
+        current when it is popped, so no re-keying or lazy invalidation
+        is needed.
 
-        Same-timestamp events are drained as a batch: every entry due at
-        the popped instant is removed first (pops yield ascending proc
-        ids), then each processor is stepped — repeatedly, while its
-        next issue time stays at that instant — before anything is
-        pushed back. The stepping order is provably identical to
-        pop/push-one-at-a-time (a stepped processor re-enters at the
-        same instant only with its own, unchanged proc id, and lower ids
-        are always drained past the instant before higher ids start), so
-        the batch saves the sift-up/sift-down churn of P near-ties at
-        32/64 processors without moving a single step.
+        Each pop samples telemetry if the issue time crossed the next
+        interval boundary (issue times are non-decreasing, so the sample
+        captures exactly the events of the closed window; without
+        telemetry the boundary is ``NO_BOUND``), calls the step
+        observer, takes the mandatory step, and counts the sanitizer's
+        audit stride. Then, if the processor's next key still undercuts
+        the heap top and the sample boundary, it runs a *streak*
+        (:meth:`TraceProcessor.build_run_ahead`) bounded by both: the
+        streak executes exactly the steps this loop would pop next, so
+        ordering — and every result bit — is unchanged; only the heap
+        traffic and per-step call chain disappear. An equal-time tie
+        streaks only while the popped processor's id is the lower one.
+        A streak that stops at the sample boundary re-enters the heap as
+        the minimum, and the sample fires on its re-pop, at the same
+        step boundary and with the same counter values as a single-step
+        loop. With an empty heap (the last active processor) the streak
+        is bounded by the sample boundary and the target alone.
+
+        Streaks are off while a step observer, a sanitizer or a tracer
+        is attached: each needs to see every step boundary.
         """
-        if self.step_observer is not None:
-            # Observed runs fold telemetry, the sanitizer and the
-            # observer into one loop; stepping stays identical.
-            self._run_until_observed(processors, targets)
-            return
-        if self.sanitizer is not None:
-            # Both schedulers step identically, so the checked loop (a
-            # heap loop with a sanitizer stride) serves either setting.
-            self._run_until_checked(processors, targets)
-            return
-        if self.scheduler == "linear":
-            self._run_until_linear(processors, targets)
-            return
         telemetry = self.telemetry
+        observe = self.step_observer
+        sanitizer = self.sanitizer
+        stride = budget = sanitizer.every if sanitizer is not None else 0
+        next_sample = (
+            telemetry.next_sample_time if telemetry is not None else NO_BOUND
+        )
+        # The key an empty heap's top would have: streak to the target.
+        empty_top = (NO_BOUND, -1, None)
+        streaks = (
+            observe is None and sanitizer is None
+            and self.machine._tracer is None
+        )
+        run_ahead = (
+            [p.build_run_ahead() for p in processors] if streaks else None
+        )
         heap = [
             (p.next_time, p.proc_id, p)
             for p in processors if p.index < targets[p.proc_id]
         ]
         heapq.heapify(heap)
         heappush, heappop = heapq.heappush, heapq.heappop
-        if self.runahead == "streak":
-            run_ahead = [p.build_run_ahead() for p in processors]
         # The re-push key is next_time inlined (clock + gap of the next
         # op) and the continue check is ``index < target`` alone: targets
         # never exceed trace length, so the ``done`` test is subsumed.
-        #
-        # Run-ahead variants: after the popped processor's (mandatory)
-        # step, if its next issue key still undercuts the heap top it
-        # runs a *streak* (TraceProcessor.build_run_ahead) bounded by that
-        # top key — the streak executes exactly the steps the reference
-        # loop would pop next, so ordering (and every result bit) is
-        # unchanged; only the heap traffic and per-step call chain
-        # disappear. The streak check replaces _drain_same_time: at an
-        # equal-time tie the popped processor keeps stepping while its
-        # (time, pid) key undercuts the top, which is the batch order
-        # the drain produces; remaining same-instant entries pop one at
-        # a time. The streak is entered only when it will run at least
-        # one step, so a pop with no streak (the common case at high
-        # processor counts) costs the reference loop plus two integer
-        # compares. With an empty heap (last active processor) the
-        # streak runs to its target unbounded.
-        if telemetry is None:
-            if self.runahead == "streak":
-                while heap:
-                    issue_time, proc_id, soonest = heappop(heap)
-                    soonest.step()
-                    i = soonest.index
-                    target = targets[proc_id]
-                    if i >= target:
-                        continue
-                    next_time = soonest.clock + soonest._gaps[i]
-                    if heap:
-                        top = heap[0]
-                        top_time = top[0]
-                        if next_time < top_time or (
-                            next_time == top_time and proc_id < top[1]
-                        ):
-                            run_ahead[proc_id](top_time, top[1], target)
-                            i = soonest.index
-                            if i >= target:
-                                continue
-                            next_time = soonest.clock + soonest._gaps[i]
-                        heappush(heap, (next_time, proc_id, soonest))
-                    else:
-                        run_ahead[proc_id](NO_BOUND, -1, target)
-                return
-            while heap:
-                issue_time, proc_id, soonest = heappop(heap)
-                if heap and heap[0][0] == issue_time:
-                    self._drain_same_time(
-                        heap, heappop, heappush, issue_time, soonest, targets
-                    )
-                    continue
-                soonest.step()
-                i = soonest.index
-                if i < targets[proc_id]:
-                    heappush(
-                        heap,
-                        (soonest.clock + soonest._gaps[i], proc_id, soonest),
-                    )
-            return
-        # Telemetry variant: identical stepping (telemetry must never
-        # perturb the simulation), plus interval sampling. Issue times
-        # are non-decreasing, so sampling when the next issue crosses a
-        # boundary captures exactly the events of the closed window.
-        # One boundary check covers a whole same-timestamp batch:
-        # sampling advances the boundary past the instant, so the
-        # per-entry checks it replaces would all be no-ops. Under
-        # run-ahead the streak is additionally bounded by the next
-        # sample boundary: the streak stops *before* the first issue at
-        # or past it, the processor re-enters the heap as the minimum,
-        # and the sample fires on its re-pop — the same step boundary,
-        # with the same counter values, as the reference loop.
-        next_sample = telemetry.next_sample_time
-        if self.runahead == "streak":
-            while heap:
-                issue_time, proc_id, soonest = heappop(heap)
-                if issue_time >= next_sample:
-                    telemetry.maybe_sample(issue_time)
-                    next_sample = telemetry.next_sample_time
-                soonest.step()
-                i = soonest.index
-                target = targets[proc_id]
-                if i >= target:
-                    continue
-                next_time = soonest.clock + soonest._gaps[i]
-                if heap:
-                    top = heap[0]
-                    top_time = top[0]
-                    if next_time < next_sample and (
-                        next_time < top_time
-                        or (next_time == top_time and proc_id < top[1])
-                    ):
-                        run_ahead[proc_id](
-                            top_time, top[1], target, next_sample
-                        )
-                        i = soonest.index
-                        if i >= target:
-                            continue
-                        next_time = soonest.clock + soonest._gaps[i]
-                    heappush(heap, (next_time, proc_id, soonest))
-                else:
-                    if next_time < next_sample:
-                        run_ahead[proc_id](NO_BOUND, -1, target, next_sample)
-                        i = soonest.index
-                        if i >= target:
-                            continue
-                        next_time = soonest.clock + soonest._gaps[i]
-                    heappush(heap, (next_time, proc_id, soonest))
-            return
+        # The streak is entered only when it will run at least one step,
+        # so a pop without one (the common case at high processor
+        # counts) costs a single-step loop plus a few integer compares.
         while heap:
             issue_time, proc_id, soonest = heappop(heap)
             if issue_time >= next_sample:
                 telemetry.maybe_sample(issue_time)
                 next_sample = telemetry.next_sample_time
-            if heap and heap[0][0] == issue_time:
-                self._drain_same_time(
-                    heap, heappop, heappush, issue_time, soonest, targets
-                )
-                continue
-            soonest.step()
-            i = soonest.index
-            if i < targets[proc_id]:
-                heappush(
-                    heap,
-                    (soonest.clock + soonest._gaps[i], proc_id, soonest),
-                )
-
-    @staticmethod
-    def _drain_same_time(heap, heappop, heappush, time_now, first, targets):
-        """Step every processor due at *time_now*, then re-fill the heap.
-
-        Pops every remaining entry keyed *time_now* (ascending proc id)
-        and runs each member — repeatedly while its next issue time
-        stays at *time_now*, which keeps the order exact even for
-        zero-stall operations — before pushing its strictly-later next
-        event. Heap churn drops from 2·k sifts against P entries to k
-        pops plus k pushes done once per instant.
-        """
-        batch = [first]
-        while heap and heap[0][0] == time_now:
-            batch.append(heappop(heap)[2])
-        for p in batch:
-            target = targets[p.proc_id]
-            while True:
-                p.step()
-                i = p.index
-                if i >= target:
-                    break
-                next_time = p.clock + p._gaps[i]
-                if next_time > time_now:
-                    heappush(heap, (next_time, p.proc_id, p))
-                    break
-
-    def _run_until_checked(
-        self, processors: List[TraceProcessor], targets: List[int]
-    ) -> None:
-        """Sanitizer variant: identical stepping plus a periodic audit.
-
-        Kept separate from the plain/telemetry loops so the sanitizer
-        costs nothing when disabled. The sanitizer only reads machine
-        state, so the simulated results stay bit-identical.
-        """
-        telemetry = self.telemetry
-        sanitizer = self.sanitizer
-        stride = sanitizer.every
-        budget = stride
-        heap = [
-            (p.next_time, p.proc_id, p)
-            for p in processors if p.index < targets[p.proc_id]
-        ]
-        heapq.heapify(heap)
-        heappush, heappop = heapq.heappush, heapq.heappop
-        next_sample = telemetry.next_sample_time if telemetry is not None \
-            else None
-        while heap:
-            issue_time, proc_id, soonest = heappop(heap)
-            if next_sample is not None and issue_time >= next_sample:
-                telemetry.maybe_sample(issue_time)
-                next_sample = telemetry.next_sample_time
-            soonest.step()
-            budget -= 1
-            if budget <= 0:
-                sanitizer.check(soonest.clock)
-                budget = stride
-            i = soonest.index
-            if i < targets[proc_id]:
-                heappush(
-                    heap,
-                    (soonest.clock + soonest._gaps[i], proc_id, soonest),
-                )
-
-    def _run_until_observed(
-        self, processors: List[TraceProcessor], targets: List[int]
-    ) -> None:
-        """Observer variant: the checked/telemetry loop plus a per-step
-        ``step_observer(proc_id)`` callback fired *before* the step
-        issues.
-
-        Firing before the step means that while the machine processes
-        access *k*, the observer has already seen exactly ``k + 1``
-        notifications — an event sink attached to the machine can
-        therefore attribute every coherence event to the access that
-        produced it. Stepping order and machine behaviour are identical
-        to the unobserved loops.
-        """
-        telemetry = self.telemetry
-        sanitizer = self.sanitizer
-        observe = self.step_observer
-        stride = sanitizer.every if sanitizer is not None else 0
-        budget = stride
-        heap = [
-            (p.next_time, p.proc_id, p)
-            for p in processors if p.index < targets[p.proc_id]
-        ]
-        heapq.heapify(heap)
-        heappush, heappop = heapq.heappush, heapq.heappop
-        next_sample = telemetry.next_sample_time if telemetry is not None \
-            else None
-        while heap:
-            issue_time, proc_id, soonest = heappop(heap)
-            if next_sample is not None and issue_time >= next_sample:
-                telemetry.maybe_sample(issue_time)
-                next_sample = telemetry.next_sample_time
-            observe(proc_id)
+            if observe is not None:
+                observe(proc_id)
             soonest.step()
             if sanitizer is not None:
                 budget -= 1
@@ -525,37 +306,21 @@ class Simulator:
                     sanitizer.check(soonest.clock)
                     budget = stride
             i = soonest.index
-            if i < targets[proc_id]:
-                heappush(
-                    heap,
-                    (soonest.clock + soonest._gaps[i], proc_id, soonest),
-                )
-
-    def _run_until_linear(
-        self, processors: List[TraceProcessor], targets: List[int]
-    ) -> None:
-        """The original O(P)-per-step scheduler, kept as the reference
-        implementation for the heap-equivalence tests."""
-        telemetry = self.telemetry
-        active = [p for p in processors if p.index < targets[p.proc_id]]
-        if telemetry is None:
-            while active:
-                # Earliest next issue time goes first; ties break by ID,
-                # which keeps runs deterministic.
-                soonest = min(active, key=lambda p: p.next_time)
-                soonest.step()
-                if soonest.done or soonest.index >= targets[soonest.proc_id]:
-                    active.remove(soonest)
-            return
-        next_sample = telemetry.next_sample_time
-        while active:
-            soonest = min(active, key=lambda p: p.next_time)
-            if soonest.next_time >= next_sample:
-                telemetry.maybe_sample(soonest.next_time)
-                next_sample = telemetry.next_sample_time
-            soonest.step()
-            if soonest.done or soonest.index >= targets[soonest.proc_id]:
-                active.remove(soonest)
+            target = targets[proc_id]
+            if i >= target:
+                continue
+            next_time = soonest.clock + soonest._gaps[i]
+            if streaks and next_time < next_sample:
+                top_time, top_pid, _ = heap[0] if heap else empty_top
+                if next_time < top_time or (
+                    next_time == top_time and proc_id < top_pid
+                ):
+                    run_ahead[proc_id](top_time, top_pid, target, next_sample)
+                    i = soonest.index
+                    if i >= target:
+                        continue
+                    next_time = soonest.clock + soonest._gaps[i]
+            heappush(heap, (next_time, proc_id, soonest))
 
     def _collect(
         self,
@@ -637,10 +402,9 @@ def run_workload(
     sanitizer=None,
     snoop: str = "bitmask",
     tracer=None,
-    runahead: str = "streak",
 ) -> RunResult:
     """One-shot convenience: build a simulator, run, return the result."""
     return Simulator(
         config, seed=seed, telemetry=telemetry, sanitizer=sanitizer,
-        snoop=snoop, tracer=tracer, runahead=runahead,
+        snoop=snoop, tracer=tracer,
     ).run(workload, warmup_fraction=warmup_fraction)

@@ -4,8 +4,9 @@ Nothing a plain run installs may close a reference cycle back to the
 machine (the residency hooks, the probe-debt closures, the run-ahead
 streaks): otherwise every run's machine outlives it until the next
 full cyclic collection, and a process running many traces in a row
-holds several machines at once. Attached observers (telemetry, a
-tracer, a sanitizer) are not covered.
+holds several machines at once. Each run is checked with streaks
+(``"streak"``) and single-stepping under a step observer (``"off"``).
+Telemetry, a tracer and a sanitizer are not covered.
 """
 
 import gc
@@ -23,16 +24,17 @@ CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("runahead", ["streak", "off"])
+@pytest.mark.parametrize("stepping", ["streak", "off"])
 @pytest.mark.parametrize("snoop", ["bitmask", "walk"])
 @pytest.mark.parametrize("config", sorted(CONFIGS))
-def test_dropped_simulator_frees_its_machine(config, snoop, runahead):
+def test_dropped_simulator_frees_its_machine(config, snoop, stepping):
     workload = build_benchmark("tpc-b", 4, seed=0, ops_per_processor=400)
     enabled = gc.isenabled()
     gc.disable()
     try:
         simulator = Simulator(
-            CONFIGS[config](), snoop=snoop, runahead=runahead,
+            CONFIGS[config](), snoop=snoop,
+            step_observer=[].append if stepping == "off" else None,
         )
         simulator.run(workload, warmup_fraction=0.25)
         machine = weakref.ref(simulator.machine)

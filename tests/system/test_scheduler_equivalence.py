@@ -1,11 +1,13 @@
-"""Heap scheduler ≡ linear scheduler, bit for bit.
+"""Heap order ≡ the linear reference scan, bit for bit.
 
-The hot-path overhaul replaced the run loop's O(P) ``min()`` scan with a
-heap keyed ``(next_time, proc_id)``. The original scan is kept as
-``scheduler="linear"`` precisely so these tests can assert the two
-orderings are indistinguishable — same cycles, same stats, same latency
-distributions — on hand-built traces, on randomized traces, and at 16
-processors where tie-breaks actually matter.
+The stepping loop orders steps with a heap keyed ``(next_time,
+proc_id)`` instead of the original O(P) ``min()`` scan, which survives as
+:class:`~tests.system.reference_scheduler.ReferenceSimulator`. These
+cases assert the two orderings are indistinguishable — same cycles, same
+stats, same latency distributions — on hand-built traces, on randomized
+traces, and at 16 processors where tie-breaks actually matter. The full
+battery, across every observation mode and warm-up, is
+``test_stepping_equivalence.py``.
 """
 
 from hypothesis import given, settings
@@ -13,58 +15,16 @@ from hypothesis import strategies as st
 
 from repro.interconnect.topology import Topology
 from repro.system.simulator import Simulator
-from repro.telemetry.registry import TelemetryRegistry
 from repro.workloads.benchmarks import build_benchmark
 from repro.workloads.trace import TraceOp
 
-from tests.conftest import loads, make_config, multitrace
-
-
-def run_with(scheduler, config, workload, seed=0, telemetry=False):
-    registry = TelemetryRegistry(interval=5_000) if telemetry else None
-    simulator = Simulator(
-        config, seed=seed, telemetry=registry, scheduler=scheduler
-    )
-    result = simulator.run(workload)
-    return simulator, result
-
-
-def assert_equivalent(config, workload, seed=0, telemetry=False):
-    """Run both schedulers and compare everything observable."""
-    heap_sim, heap = run_with("heap", config, workload, seed, telemetry)
-    linear_sim, linear = run_with("linear", config, workload, seed, telemetry)
-    assert heap.per_processor_cycles == linear.per_processor_cycles
-    assert heap.per_processor_stalls == linear.per_processor_stalls
-    assert heap.per_processor_gaps == linear.per_processor_gaps
-    assert heap.stats == linear.stats
-    assert heap.broadcasts == linear.broadcasts
-    assert heap.l1_hits == linear.l1_hits
-    assert heap.l2_hits == linear.l2_hits
-    assert heap.l2_misses == linear.l2_misses
-    assert heap.demand_latency_mean == linear.demand_latency_mean
-    assert heap.bus_queue_cycles == linear.bus_queue_cycles
-    assert heap.rca_allocations == linear.rca_allocations
-    assert heap.rca_self_invalidations == linear.rca_self_invalidations
-    assert heap_sim.machine.request_paths == linear_sim.machine.request_paths
-    heap_lat = {
-        key: (s.count, s.mean, s.minimum, s.maximum)
-        for key, s in heap_sim.machine.path_latency.items()
-    }
-    linear_lat = {
-        key: (s.count, s.mean, s.minimum, s.maximum)
-        for key, s in linear_sim.machine.path_latency.items()
-    }
-    assert heap_lat == linear_lat
-
-
-def contended_workload(procs=4, lines=24):
-    """Every processor walks the same lines with staggered gaps, so grant
-    order constantly interleaves and exercises the tie-break."""
-    per_proc = []
-    for proc in range(procs):
-        addresses = [0x40000 + i * 64 for i in range(lines)]
-        per_proc.append(loads(addresses, gap=3 + proc))
-    return multitrace(per_proc)
+from tests.conftest import make_config, multitrace
+from tests.system.test_stepping_equivalence import (
+    assert_equivalent,
+    contended_workload,
+    fingerprint,
+    run_with,
+)
 
 
 class TestSchedulerEquivalence:
@@ -119,7 +79,7 @@ class TestSchedulerEquivalence:
 
 
 class TestSixteenProcessorDeterminism:
-    """Serial determinism of the 16p scaling machine, both schedulers."""
+    """Serial determinism of the 16p scaling machine."""
 
     TOPOLOGY = Topology(
         cores_per_chip=2, chips_per_switch=2, switches_per_board=2, boards=2
@@ -137,8 +97,6 @@ class TestSixteenProcessorDeterminism:
     def test_repeat_runs_identical_at_16p(self):
         config = make_config(cgct=True, topology=self.TOPOLOGY)
         workload = self.workload()
-        _, a = run_with("heap", config, workload, seed=3)
-        _, b = run_with("heap", config, workload, seed=3)
-        assert a.per_processor_cycles == b.per_processor_cycles
-        assert a.stats == b.stats
-        assert a.broadcasts == b.broadcasts
+        a = fingerprint(*run_with(Simulator, config, workload, seed=3))
+        b = fingerprint(*run_with(Simulator, config, workload, seed=3))
+        assert a == b

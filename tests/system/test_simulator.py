@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.common.errors import SimulationError
+from repro.common.errors import ConfigurationError, SimulationError
+from repro.system.machine import Machine
 from repro.system.simulator import Simulator, run_workload
 from repro.workloads.trace import TraceOp
 
@@ -46,6 +47,32 @@ class TestRunLoop:
         # Proc 1 (gap 10) filled first and alone was unnecessary.
         assert sim.machine.stats.total_unnecessary == 1
         assert sim.machine.stats.total_broadcasts == 4
+
+
+class TestOneShot:
+    def test_second_run_is_refused(self):
+        workload = four_proc_workload()
+        simulator = Simulator(make_config(cgct=True))
+        first = simulator.run(workload)
+        fresh = run_workload(make_config(cgct=True), workload)
+        with pytest.raises(SimulationError, match="one-shot"):
+            simulator.run(workload)
+        # The refused call left the first result alone.
+        assert first.stats == fresh.stats
+        assert first.l1_hits == fresh.l1_hits
+
+    def test_rejected_workload_does_not_use_up_the_run(self):
+        simulator = Simulator(make_config(cgct=False))
+        with pytest.raises(SimulationError):
+            simulator.run(multitrace([loads([0x100])]))
+        assert simulator.run(four_proc_workload()).cycles > 0
+
+
+class TestSnoopOption:
+    @pytest.mark.parametrize("build", [Machine, Simulator])
+    def test_bad_snoop_is_a_configuration_error(self, build):
+        with pytest.raises(ConfigurationError, match="snoop"):
+            build(make_config(cgct=True), snoop="x")
 
 
 class TestDegenerateWorkloads:
