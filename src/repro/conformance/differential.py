@@ -157,14 +157,13 @@ def run_differential(
     telemetry: bool = False,
     bundle_dir: Optional[str] = None,
     sanitizer_every: int = 512,
-    snoop: str = "bitmask",
 ) -> DifferentialOutcome:
     """Replay *workload* on *config* and diff it against the golden model.
 
-    ``snoop`` selects the machine's phase-1 snoop path (see
-    :class:`~repro.system.machine.Machine`); the default exercises the
-    holder-bitmask fast path, so every corpus replay and fuzz campaign
-    checks the fast holder bookkeeping against the golden model.
+    The machine runs its production snoop paths (the holder bitmask for
+    phase 1 on filter-free configs, the class masks for phase 2), so
+    every corpus replay and fuzz campaign checks their bookkeeping
+    against the golden model.
     """
     from repro.system.simulator import Simulator
     from repro.validate.sanitizer import CoherenceSanitizer
@@ -180,7 +179,7 @@ def run_differential(
     order: List[int] = []
     simulator = Simulator(
         config, seed=seed, telemetry=registry, sanitizer=sanitizer,
-        step_observer=order.append, snoop=snoop,
+        step_observer=order.append,
     )
     probe = ConformanceProbe(simulator.machine, order)
     # Attached before run(): the sanitizer's bind() then reuses the probe

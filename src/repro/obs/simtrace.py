@@ -7,8 +7,8 @@ the stages of each memory access; a detached machine pays one ``is
 None`` check per instrumented site — the same contract as the telemetry
 event funnel — and an attached tracer only ever *reads*, so simulated
 cycles and fingerprints are bit-identical with tracing on or off
-(``tests/obs/test_trace_equivalence.py`` enforces this the same way the
-``snoop="walk"`` reference does for the snoop fast paths).
+(``tests/obs/test_trace_equivalence.py`` enforces this, also against the
+reference snoop walks of ``tests/system/reference_snoop.py``).
 
 Each access becomes one **transaction** with a monotonically assigned
 trace id (the global access ordinal — ids advance even for unsampled

@@ -42,11 +42,10 @@ from repro.coherence.snoop import (
     EMPTY_LINE_RESPONSE,
     SNOOP_NOT_SHARED,
     SNOOP_SHARED,
-    LineSnoopResponse,
     SnoopResult,
     combine_line_responses,
 )
-from repro.common.errors import ConfigurationError, ProtocolError
+from repro.common.errors import ProtocolError
 from repro.common.intervals import IntervalCounter
 from repro.common.rng import derive_seed
 from repro.common.stats import RunningStat
@@ -130,6 +129,9 @@ _DIRECT_I = RequestPath.DIRECT.index
 _TARGETED_I = RequestPath.TARGETED.index
 _BROADCAST_I = RequestPath.BROADCAST.index
 _WRITEBACK_C = OracleCategory.WRITEBACK.index
+#: Region states by ``state.index``: a snoop class ``c`` is state
+#: ``_REGION_STATES[c >> 1]``.
+_REGION_STATES = tuple(RegionState)
 
 
 @dataclass(frozen=True, slots=True)
@@ -245,25 +247,18 @@ class ExternalRequestStats:
 class Machine:
     """The multiprocessor memory system (baseline or CGCT).
 
-    ``snoop`` selects the phase-1 snoop implementation: ``"bitmask"``
-    (the default) visits only the caches whose maintained holder bit is
-    set — O(holders) per broadcast instead of O(P) — with skipped tag
-    probes reconstructed exactly from per-processor broadcast totals;
-    ``"walk"`` is the original per-peer loop, kept as the reference the
-    snoop-equivalence tests check against. Both produce bit-identical
-    results. Machines with RegionScout/Jetty filters always run the
-    general loop (those filters must observe every broadcast) whatever
-    ``snoop`` says.
+    Each snoop phase of a broadcast has one implementation per machine,
+    fixed by the config. Phase 1 (line snoops) visits only the caches
+    whose maintained holder bit is set — O(holders) per broadcast
+    instead of O(P) — with skipped tag probes reconstructed exactly from
+    per-processor broadcast totals; machines with RegionScout/Jetty
+    filters run the per-peer loop instead, because those filters must
+    observe every broadcast. Phase 2 (region snoops, CGCT only) runs
+    over the per-region class masks (:meth:`_snoop_regions`), with or
+    without telemetry attached.
     """
 
-    def __init__(
-        self, config: SystemConfig, seed: int = 0, snoop: str = "bitmask"
-    ) -> None:
-        if snoop not in ("walk", "bitmask"):
-            raise ConfigurationError(
-                f"snoop must be 'walk' or 'bitmask', got {snoop!r}"
-            )
-        self.snoop = snoop
+    def __init__(self, config: SystemConfig, seed: int = 0) -> None:
         self.config = config
         self.geometry = config.geometry
         self.topology = config.topology
@@ -347,63 +342,46 @@ class Machine:
         # operations instead of probing every tracker's RCA entry;
         # observer entries are only materialised when their state
         # actually changes (or they self-invalidate). Maintained by the
-        # residency callbacks and every state-writing site while the
-        # inline region snoop is eligible; rebuilt from the arrays by
-        # _refresh_region_snoop_tables whenever eligibility changes.
-        # Mutated in place, never rebound: the residency closures
-        # capture the dict once.
+        # residency callbacks and every state-writing site. Mutated in
+        # place, never rebound: the residency closures capture the dict
+        # once.
         self._region_classes: Dict[int, Dict[int, int]] = {}
-        self._inline_region_snoop = False
-        #: The same switch as a one-element list, for the residency
-        #: closures: reading it through the machine would tie every
-        #: node's L2 back to the machine in a reference cycle.
-        self._inline_region_switch = [False]
         #: Owner hints are advisory and only ever read by the Section 6
         #: owner-prediction extension; with the extension off they are
-        #: dead stores, and the inline snoop paths skip writing them.
+        #: dead stores, and the class-mask snoop paths skip writing them.
         self._owner_hints_on = config.owner_prediction
         # Per-broadcast config flags, hoisted off the config dataclass.
         self._line_resp_visible = config.line_response_visible
         self._two_bit = config.two_bit_response
+        #: The telemetry transition matrix while one is attached (see
+        #: attach_telemetry); the class-mask paths record into it.
+        self._transitions = None
         for node in self.nodes:
             self._track_presence(node)
-        #: No RegionScout/Jetty filter anywhere → phase-1 snoops can take
-        #: the bitmask fast path (those filters keep per-snoop state that
-        #: must observe every broadcast, so they pin the general loop).
-        self._plain_snoop = all(
-            n.regionscout is None and n.jetty is None for n in self.nodes
-        )
-        #: Per-requestor peer list ``(pid, node, node.l2)`` — the plain
-        #: snoop loop walks these tuples instead of re-deriving proc ids
-        #: and L2 references on every broadcast.
-        self._snoop_peers = [
-            tuple(
-                (other.proc_id, other, other.l2)
-                for other in self.nodes
-                if other.proc_id != p
-            )
-            for p in range(self.topology.num_processors)
-        ]
         #: Bitmask snoop mode: phase-1 broadcasts iterate the set bits of
         #: the holder mask instead of walking every peer. Non-holders are
         #: never visited, so their tag-probe counts are carried as
         #: per-processor debt — broadcasts a processor neither issued nor
         #: answered as a holder are exactly its skipped probes — and
-        #: reconstructed on every ``L2Cache.snoop_probes`` read.
-        self._bitmask_snoop = self._plain_snoop and snoop == "bitmask"
+        #: reconstructed on every ``L2Cache.snoop_probes`` read. Any
+        #: RegionScout/Jetty filter rules it out: those filters keep
+        #: per-snoop state that must observe every broadcast, so they
+        #: take the per-peer loop.
+        self._bitmask_snoop = all(
+            n.regionscout is None and n.jetty is None for n in self.nodes
+        )
         self._fast_issued = [0] * self.topology.num_processors
         self._fast_holder_visits = [0] * self.topology.num_processors
         if self._bitmask_snoop:
             for node in self.nodes:
                 self._install_probe_debt(node)
-        # Region-snoop fast path: flat per-node transition tables (see
-        # _refresh_region_snoop_tables) plus hoisted prefetch-filter
-        # constants (line → region shift, filter switch).
+        # Hoisted prefetch-filter constants (line → region shift, filter
+        # switch).
         self._line_region_shift = (
             self.geometry._region_bits - self.geometry._line_bits
         )
         self._prefetch_region_filter = config.prefetch_region_filter
-        self._refresh_region_snoop_tables()
+        self._build_region_snoop_tables()
         #: Bound L1 lookup methods, indexed by processor: every access
         #: starts here, so the common L1-hit path is one list index and
         #: one call (the L1 objects live as long as the machine, so the
@@ -473,7 +451,6 @@ class Machine:
             and getattr(inner_removed, "__self__", None) is rca
         )
 
-        inline = self._inline_region_switch
         region_classes = self._region_classes
         if fuse_rca:
             # The node's only line hooks are the RCA counters: fold them
@@ -502,16 +479,15 @@ class Machine:
                 count = entry.line_count + 1
                 entry.line_count = count
                 if count == 1:
-                    if inline[0]:
-                        cls = region_classes[region]
-                        c = (entry.state.index << 1) | 1
-                        left = cls[c] & ~bit
-                        if left:
-                            cls[c] = left
-                        else:
-                            del cls[c]
-                        nc = c ^ 1
-                        cls[nc] = cls.get(nc, 0) | bit
+                    cls = region_classes[region]
+                    c = (entry.state.index << 1) | 1
+                    left = cls[c] & ~bit
+                    if left:
+                        cls[c] = left
+                    else:
+                        del cls[c]
+                    nc = c ^ 1
+                    cls[nc] = cls.get(nc, 0) | bit
                 elif count > lines_per_region:
                     raise ProtocolError(
                         f"region {entry.region:#x} line count {count} exceeds "
@@ -536,7 +512,7 @@ class Machine:
                     raise ProtocolError(
                         f"region {entry.region:#x} line count would go negative"
                     )
-                if count == 1 and inline[0]:
+                if count == 1:
                     cls = region_classes[region]
                     c = entry.state.index << 1
                     left = cls[c] & ~bit
@@ -560,19 +536,18 @@ class Machine:
             def line_allocated(line: int) -> None:
                 holders[line] = holders.get(line, 0) | bit
                 inner_allocated(line)
-                if inline[0]:
-                    region = line >> rshift
-                    entry = rsets[region & rmask].get(region >> rbits)
-                    if entry is not None and entry.line_count == 1:
-                        cls = region_classes[region]
-                        c = (entry.state.index << 1) | 1
-                        left = cls[c] & ~bit
-                        if left:
-                            cls[c] = left
-                        else:
-                            del cls[c]
-                        nc = c ^ 1
-                        cls[nc] = cls.get(nc, 0) | bit
+                region = line >> rshift
+                entry = rsets[region & rmask].get(region >> rbits)
+                if entry is not None and entry.line_count == 1:
+                    cls = region_classes[region]
+                    c = (entry.state.index << 1) | 1
+                    left = cls[c] & ~bit
+                    if left:
+                        cls[c] = left
+                    else:
+                        del cls[c]
+                    nc = c ^ 1
+                    cls[nc] = cls.get(nc, 0) | bit
 
             def line_removed(line: int) -> None:
                 remaining = holders.get(line, 0) & ~bit
@@ -581,19 +556,18 @@ class Machine:
                 else:
                     holders.pop(line, None)
                 inner_removed(line)
-                if inline[0]:
-                    region = line >> rshift
-                    entry = rsets[region & rmask].get(region >> rbits)
-                    if entry is not None and entry.line_count == 0:
-                        cls = region_classes[region]
-                        c = entry.state.index << 1
-                        left = cls[c] & ~bit
-                        if left:
-                            cls[c] = left
-                        else:
-                            del cls[c]
-                        nc = c | 1
-                        cls[nc] = cls.get(nc, 0) | bit
+                region = line >> rshift
+                entry = rsets[region & rmask].get(region >> rbits)
+                if entry is not None and entry.line_count == 0:
+                    cls = region_classes[region]
+                    c = entry.state.index << 1
+                    left = cls[c] & ~bit
+                    if left:
+                        cls[c] = left
+                    else:
+                        del cls[c]
+                    nc = c | 1
+                    cls[nc] = cls.get(nc, 0) | bit
         else:
             def line_allocated(line: int) -> None:
                 holders[line] = holders.get(line, 0) | bit
@@ -618,15 +592,14 @@ class Machine:
 
             def region_tracked(region: int) -> None:
                 trackers[region] = trackers.get(region, 0) | bit
-                if inline[0]:
-                    entry = rsets2[region & rmask2].get(region >> rbits2)
-                    c = (entry.state.index << 1) | (
-                        1 if entry.line_count == 0 else 0
-                    )
-                    cls = region_classes.get(region)
-                    if cls is None:
-                        cls = region_classes[region] = {}
-                    cls[c] = cls.get(c, 0) | bit
+                entry = rsets2[region & rmask2].get(region >> rbits2)
+                c = (entry.state.index << 1) | (
+                    1 if entry.line_count == 0 else 0
+                )
+                cls = region_classes.get(region)
+                if cls is None:
+                    cls = region_classes[region] = {}
+                cls[c] = cls.get(c, 0) | bit
 
             def region_untracked(region: int) -> None:
                 remaining = trackers.get(region, 0) & ~bit
@@ -634,19 +607,18 @@ class Machine:
                     trackers[region] = remaining
                 else:
                     trackers.pop(region, None)
-                if inline[0]:
-                    cls = region_classes.get(region)
-                    if cls:
-                        for c, m in cls.items():
-                            if m & bit:
-                                m &= ~bit
-                                if m:
-                                    cls[c] = m
-                                else:
-                                    del cls[c]
-                                break
-                        if not cls:
-                            del region_classes[region]
+                cls = region_classes.get(region)
+                if cls:
+                    for c, m in cls.items():
+                        if m & bit:
+                            m &= ~bit
+                            if m:
+                                cls[c] = m
+                            else:
+                                del cls[c]
+                            break
+                    if not cls:
+                        del region_classes[region]
 
             node.rca.on_region_tracked = region_tracked
             node.rca.on_region_untracked = region_untracked
@@ -670,18 +642,16 @@ class Machine:
 
         node.l2._probe_debt = probe_debt
 
-    def _refresh_region_snoop_tables(self) -> None:
-        """(Re)derive the tables and class masks behind inline region snoops.
+    def _build_region_snoop_tables(self) -> None:
+        """Derive the tables behind the class-mask region snoops.
 
         The protocol's response and external-transition tables are
         reshaped to *class* indexing — a class packs (state, line count
         == 0) as ``(state.index << 1) | empty``, the exact pair one
         observer's snoop outcome depends on — and hoisted machine-wide
         alongside the local-transition table and per-pid RCA set lists.
-        The per-region class masks are rebuilt from the arrays so they
-        are trustworthy from any starting state. This runs at
-        construction and again whenever :meth:`attach_telemetry`
-        replaces the protocols.
+        Runs once, at construction, while every RCA is still empty (so
+        the class masks start empty too).
         """
         cgct_nodes = [n for n in self.nodes if n.rca is not None]
         # Region → home controller in closed form (the interleave unit
@@ -702,77 +672,52 @@ class Machine:
         self._rca_ways = 0
         self._class_info = None
         self._region_local_table = None
-        inline = False
-        if cgct_nodes:
-            # All RCAs share one organisation; the loop hoists the set
-            # index / tag split out of the per-observer visits.
-            rca = cgct_nodes[0].rca
-            self._rca_set_mask = rca._set_mask
-            self._rca_set_bits = rca._set_bits
-            self._rca_ways = rca._array.ways
-            # The protocols are value-equal across nodes (one config
-            # builds them all), so their tables are interchangeable and
-            # hoisted machine-wide; the inline loop is only eligible
-            # while no transition matrix is recording (telemetry swaps
-            # protocols and must observe every transition).
-            protocol = cgct_nodes[0].protocol
-            inline = all(
-                n.protocol.transitions is None and n.protocol == protocol
-                for n in cgct_nodes
+        if not cgct_nodes:
+            return
+        # All RCAs share one organisation; the loop hoists the set
+        # index / tag split out of the per-observer visits.
+        rca = cgct_nodes[0].rca
+        self._rca_set_mask = rca._set_mask
+        self._rca_set_bits = rca._set_bits
+        self._rca_ways = rca._array.ways
+        # One config builds every node's protocol, so their tables are
+        # interchangeable and hoisted machine-wide (attaching telemetry
+        # swaps in value-equal recording protocols with the same tables).
+        protocol = cgct_nodes[0].protocol
+        resp_rows = [
+            (
+                (o1.self_invalidate, o1.response.clean, o1.response.dirty),
+                (o0.self_invalidate, o0.response.clean, o0.response.dirty),
             )
-            if inline:
-                resp_rows = [
-                    (
-                        (o1.self_invalidate, o1.response.clean,
-                         o1.response.dirty),
-                        (o0.self_invalidate, o0.response.clean,
-                         o0.response.dirty),
-                    )
-                    for o1, o0 in protocol._response_table
-                ]
-                # One class × request table carrying everything the
-                # snoop loop needs in a single subscript: the response
-                # triple (self_invalidate, clean, dirty) plus the
-                # hint-indexed external targets. An external transition
-                # never changes the line count, so a class's target
-                # keeps its empty bit; targets carry ``(new_class,
-                # new_state)`` so the loop can update both the masks and
-                # the moved entries. ``None`` marks the tabulated error
-                # combinations (re-dispatched to the raising reference
-                # implementation).
-                ext = protocol._external_table
-                self._class_info = [
+            for o1, o0 in protocol._response_table
+        ]
+        # One class × request table carrying everything the snoop loop
+        # needs in a single subscript: the response triple
+        # (self_invalidate, clean, dirty) plus the hint-indexed external
+        # targets. An external transition never changes the line count,
+        # so a class's target keeps its empty bit; targets carry
+        # ``(new_class, new_state)`` so the loop can update both the
+        # masks and the moved entries. ``None`` marks the tabulated
+        # error combinations (re-dispatched to the raising reference
+        # implementation).
+        ext = protocol._external_table
+        self._class_info = [
+            [
+                (
+                    resp_rows[c >> 1][c & 1][0],
+                    resp_rows[c >> 1][c & 1][1],
+                    resp_rows[c >> 1][c & 1][2],
                     [
-                        (
-                            resp_rows[c >> 1][c & 1][0],
-                            resp_rows[c >> 1][c & 1][1],
-                            resp_rows[c >> 1][c & 1][2],
-                            [
-                                None if ns is None
-                                else ((ns.index << 1) | (c & 1), ns)
-                                for ns in req_row
-                            ],
-                        )
-                        for req_row in ext[c >> 1]
-                    ]
-                    for c in range(len(ext) * 2)
-                ]
-                self._region_local_table = protocol._local_table
-        self._inline_region_snoop = self._inline_region_switch[0] = inline
-        self._region_classes.clear()
-        if inline:
-            classes = self._region_classes
-            for node in cgct_nodes:
-                node_bit = 1 << node.proc_id
-                for entries in node.rca._sets:
-                    for entry in entries.values():
-                        c = (entry.state.index << 1) | (
-                            1 if entry.line_count == 0 else 0
-                        )
-                        cls = classes.get(entry.region)
-                        if cls is None:
-                            cls = classes[entry.region] = {}
-                        cls[c] = cls.get(c, 0) | node_bit
+                        None if ns is None
+                        else ((ns.index << 1) | (c & 1), ns)
+                        for ns in req_row
+                    ],
+                )
+                for req_row in ext[c >> 1]
+            ]
+            for c in range(len(ext) * 2)
+        ]
+        self._region_local_table = protocol._local_table
 
     # ------------------------------------------------------------------
     # Accounting views over the flat arrays
@@ -1290,11 +1235,11 @@ class Machine:
         responses = []
         remote_region_free = True
         if self._bitmask_snoop:
-            # Fastest path: visit only the actual holders, in ascending
-            # processor order (identical combine order to the walk). A
-            # non-holder contributes nothing to the combine and its tag
-            # probe is reconstructed later from these two counters, so
-            # results and statistics stay bit-identical to the walk.
+            # Visit only the actual holders, in ascending processor
+            # order (the per-peer loop's combine order). A non-holder
+            # contributes nothing to the combine and its tag probe is
+            # reconstructed later from these two counters, so results
+            # and statistics stay bit-identical to probing every peer.
             self._fast_issued[proc] += 1
             visits = self._fast_holder_visits
             nodes = self.nodes
@@ -1309,24 +1254,9 @@ class Machine:
                 if wrote_back:
                     home = self.address_map.home_of(address)
                     self.controllers[home].write_back(snoop_done)
-        elif self._plain_snoop:
-            # Fast path (no RegionScout/Jetty anywhere): a node whose
-            # holder bit is clear cannot hit — count its tag probe (the
-            # snoop still happens in hardware) and omit its all-zeros
-            # response, which contributes nothing to the combine. The
-            # counters and the combined result are identical to probing.
-            for pid, other, l2 in self._snoop_peers[proc]:
-                if (holders_before >> pid) & 1:
-                    response, wrote_back = other.snoop_line(line, request)
-                    responses.append((pid, response))
-                    if wrote_back:
-                        home = self.address_map.home_of(address)
-                        self.controllers[home].write_back(snoop_done)
-                else:
-                    l2.snoop_probes += 1
         else:
-            # Phase 1: line snoops everywhere else. RegionScout nodes
-            # first consult their CRH — a zero count proves
+            # RegionScout/Jetty machines probe every peer. RegionScout
+            # nodes first consult their CRH — a zero count proves
             # non-residence, skipping the tag probe entirely (the
             # Jetty-style filtering benefit) — and drop any NSRT claim
             # on the region another node is touching.
@@ -1378,164 +1308,10 @@ class Machine:
         if node.rca is not None:
             remote_trackers = self._region_trackers.get(region, 0) & ~(1 << proc)
             if remote_trackers:
-                nodes = self.nodes
-                if self._inline_region_snoop:
-                    # Exclusivity hints as dense ints (None→0, True→1,
-                    # False→2): the closed forms of
-                    # _requestor_fills_exclusive composed with
-                    # _exclusivity_hint for holders / non-holders, with
-                    # the method calls evaluated away.
-                    if (request is RequestType.READ
-                            or request is RequestType.PREFETCH):
-                        if self._line_resp_visible:
-                            hint_h = hint_n = 2 if combined.shared else 1
-                        else:
-                            hint_h = 2
-                            hint_n = 0
-                    elif request is RequestType.IFETCH:
-                        hint_h = 2
-                        hint_n = 2 if self._line_resp_visible else 0
-                    else:
-                        hint_h = hint_n = 0
-                    # Inline fast path over *state classes*, not
-                    # observers. The region's class masks partition its
-                    # trackers by (state, empty) — everything one
-                    # observer's snoop outcome depends on — so the
-                    # response bits, the self-invalidation set and every
-                    # state transition fall out of integer operations on
-                    # the handful of present classes. Entry objects are
-                    # touched only for observers whose state actually
-                    # changes (or that self-invalidate, which runs the
-                    # real invalidate path and its hooks); skipping an
-                    # identity observer is exact because it has no
-                    # effects at all. The effects are node.snoop_region's
-                    # for every tracker, merely batched by class.
-                    req_i = request.index
-                    wants_mod_hints = (
-                        request.wants_modifiable and self._owner_hints_on
-                    )
-                    cls = self._region_classes[region]
-                    info = self._class_info
-                    any_clean = any_dirty = False
-                    moves = None
-                    inv = 0
-                    hint_pids = 0
-                    # Self-invalidations are deferred into ``inv``: each
-                    # observer's invalidate is independent of every other
-                    # observer's effect, so running them after the scan
-                    # is exact — and lets the scan iterate the class dict
-                    # without copying it (the invalidate hooks mutate it).
-                    for c, full in cls.items():
-                        m = full & remote_trackers
-                        if not m:
-                            continue
-                        self_inv, clean, dirty, row = info[c][req_i]
-                        if clean:
-                            any_clean = True
-                        if dirty:
-                            any_dirty = True
-                        if self_inv:
-                            inv |= m
-                            continue
-                        if hint_h == hint_n:
-                            tgt = row[hint_h]
-                            if tgt is None:  # tabulated error path
-                                self._region_snoop_errors(
-                                    m, region, request,
-                                    (None, True, False)[hint_h])
-                            elif tgt[0] != c:
-                                if moves is None:
-                                    moves = []
-                                moves.append((c, m, tgt))
-                        else:
-                            mh = m & holders_before
-                            mn = m ^ mh
-                            if mh:
-                                tgt = row[hint_h]
-                                if tgt is None:
-                                    self._region_snoop_errors(
-                                        mh, region, request,
-                                        (None, True, False)[hint_h])
-                                elif tgt[0] != c:
-                                    if moves is None:
-                                        moves = []
-                                    moves.append((c, mh, tgt))
-                            if mn:
-                                tgt = row[hint_n]
-                                if tgt is None:
-                                    self._region_snoop_errors(
-                                        mn, region, request,
-                                        (None, True, False)[hint_n])
-                                elif tgt[0] != c:
-                                    if moves is None:
-                                        moves = []
-                                    moves.append((c, mn, tgt))
-                        if wants_mod_hints:
-                            hint_pids |= m
-                    if inv:
-                        rcas = self._rcas_by_pid
-                        while inv:
-                            low = inv & -inv
-                            inv ^= low
-                            rcas[low.bit_length() - 1].invalidate(region)
-                    if moves is not None or hint_pids:
-                        sets_by_pid = self._rca_sets_by_pid
-                        set_i = region & self._rca_set_mask
-                        tag = region >> self._rca_set_bits
-                        if moves is not None:
-                            for c, bits, (tc, new_state) in moves:
-                                left = cls[c] & ~bits
-                                if left:
-                                    cls[c] = left
-                                else:
-                                    del cls[c]
-                                cls[tc] = cls.get(tc, 0) | bits
-                                while bits:
-                                    low = bits & -bits
-                                    bits ^= low
-                                    sets_by_pid[low.bit_length() - 1][
-                                        set_i][tag].state = new_state
-                        while hint_pids:
-                            low = hint_pids & -hint_pids
-                            hint_pids ^= low
-                            sets_by_pid[low.bit_length() - 1][
-                                set_i][tag].owner_hint = proc
-                    if any_dirty:
-                        region_response = (
-                            CLEAN_AND_DIRTY_COPIES if any_clean
-                            else DIRTY_COPIES
-                        )
-                    elif any_clean:
-                        region_response = CLEAN_COPIES
-                    else:
-                        region_response = NO_COPIES
-                else:
-                    fills_exclusive = self._requestor_fills_exclusive(
-                        request, combined
-                    )
-                    # One observer's hint depends only on whether *it*
-                    # cached the line — two possible values, computed once.
-                    holder_hint = self._exclusivity_hint(
-                        fills_exclusive, True
-                    )
-                    non_holder_hint = self._exclusivity_hint(
-                        fills_exclusive, False
-                    )
-                    collected = []
-                    mask = remote_trackers
-                    while mask:
-                        low = mask & -mask
-                        mask ^= low
-                        pid = low.bit_length() - 1
-                        hint = (
-                            holder_hint if (holders_before >> pid) & 1
-                            else non_holder_hint
-                        )
-                        collected.append(
-                            nodes[pid].snoop_region(region, request, hint,
-                                                    requestor=proc)
-                        )
-                    region_response = combine_region_responses(collected)
+                region_response = self._snoop_regions(
+                    proc, request, region, remote_trackers, holders_before,
+                    combined,
+                )
                 if not self._two_bit:
                     region_response = region_response.collapsed()
             else:
@@ -1579,6 +1355,152 @@ class Machine:
                 updated.owner_hint = combined.supplier
         return latency
 
+    def _snoop_regions(
+        self,
+        proc: int,
+        request: RequestType,
+        region: int,
+        remote_trackers: int,
+        holders_before: int,
+        combined: SnoopResult,
+    ) -> RegionSnoopResponse:
+        """Phase 2 of a broadcast: snoop every remote tracker's RCA.
+
+        Iterates the region's *state classes*, not its observers. The
+        class masks partition the trackers by (state, empty) —
+        everything one observer's snoop outcome depends on — so the
+        response bits, the self-invalidation set and every state
+        transition fall out of integer operations on the handful of
+        present classes. Entry objects are touched only for observers
+        whose state actually changes (or that self-invalidate, which
+        runs the real invalidate path and its hooks); skipping an
+        identity observer is exact because it has no effects at all.
+        The effects are :meth:`ProcessorNode.snoop_region`'s for every
+        tracker, batched by class — including, with telemetry attached,
+        the recorded transitions, counted once per class group. Returns
+        the combined response, not yet collapsed to one bit.
+        """
+        # Exclusivity hints as dense ints (None→0, True→1, False→2) for
+        # holders / non-holders of the line: whether a read-like
+        # requestor fills exclusive, as far as each observer can know
+        # (Section 3.1: known when the combined line response is
+        # visible, or when the observer itself caches the line).
+        if request is RequestType.READ or request is RequestType.PREFETCH:
+            if self._line_resp_visible:
+                hint_h = hint_n = 2 if combined.shared else 1
+            else:
+                hint_h = 2
+                hint_n = 0
+        elif request is RequestType.IFETCH:
+            hint_h = 2
+            hint_n = 2 if self._line_resp_visible else 0
+        else:
+            hint_h = hint_n = 0
+        req_i = request.index
+        wants_mod_hints = request.wants_modifiable and self._owner_hints_on
+        record = self._transitions
+        if record is not None:
+            record = record.record
+            event = f"external.{request.value}"
+        cls = self._region_classes[region]
+        info = self._class_info
+        any_clean = any_dirty = False
+        moves = None
+        inv = 0
+        hint_pids = 0
+        # Self-invalidations are deferred into ``inv``: each observer's
+        # invalidate is independent of every other observer's effect, so
+        # running them after the scan is exact — and lets the scan
+        # iterate the class dict without copying it (the invalidate
+        # hooks mutate it).
+        for c, full in cls.items():
+            m = full & remote_trackers
+            if not m:
+                continue
+            self_inv, clean, dirty, row = info[c][req_i]
+            if clean:
+                any_clean = True
+            if dirty:
+                any_dirty = True
+            if self_inv:
+                inv |= m
+                if record is not None:
+                    record(_REGION_STATES[c >> 1], "self_invalidate",
+                           RegionState.INVALID, m.bit_count())
+                continue
+            if hint_h == hint_n:
+                tgt = row[hint_h]
+                if tgt is None:  # tabulated error path: raises
+                    self._region_snoop_errors(
+                        m, region, request, (None, True, False)[hint_h])
+                elif tgt[0] != c:
+                    if moves is None:
+                        moves = []
+                    moves.append((c, m, tgt))
+                if record is not None:
+                    record(_REGION_STATES[c >> 1], event, tgt[1],
+                           m.bit_count())
+            else:
+                mh = m & holders_before
+                mn = m ^ mh
+                if mh:
+                    tgt = row[hint_h]
+                    if tgt is None:
+                        self._region_snoop_errors(
+                            mh, region, request, (None, True, False)[hint_h])
+                    elif tgt[0] != c:
+                        if moves is None:
+                            moves = []
+                        moves.append((c, mh, tgt))
+                    if record is not None:
+                        record(_REGION_STATES[c >> 1], event, tgt[1],
+                               mh.bit_count())
+                if mn:
+                    tgt = row[hint_n]
+                    if tgt is None:
+                        self._region_snoop_errors(
+                            mn, region, request, (None, True, False)[hint_n])
+                    elif tgt[0] != c:
+                        if moves is None:
+                            moves = []
+                        moves.append((c, mn, tgt))
+                    if record is not None:
+                        record(_REGION_STATES[c >> 1], event, tgt[1],
+                               mn.bit_count())
+            if wants_mod_hints:
+                hint_pids |= m
+        if inv:
+            rcas = self._rcas_by_pid
+            while inv:
+                low = inv & -inv
+                inv ^= low
+                rcas[low.bit_length() - 1].invalidate(region)
+        if moves is not None or hint_pids:
+            sets_by_pid = self._rca_sets_by_pid
+            set_i = region & self._rca_set_mask
+            tag = region >> self._rca_set_bits
+            if moves is not None:
+                for c, bits, (tc, new_state) in moves:
+                    left = cls[c] & ~bits
+                    if left:
+                        cls[c] = left
+                    else:
+                        del cls[c]
+                    cls[tc] = cls.get(tc, 0) | bits
+                    while bits:
+                        low = bits & -bits
+                        bits ^= low
+                        sets_by_pid[low.bit_length() - 1][
+                            set_i][tag].state = new_state
+            while hint_pids:
+                low = hint_pids & -hint_pids
+                hint_pids ^= low
+                sets_by_pid[low.bit_length() - 1][
+                    set_i][tag].owner_hint = proc
+        if any_dirty:
+            return CLEAN_AND_DIRTY_COPIES if any_clean else DIRTY_COPIES
+        return CLEAN_COPIES if any_clean else NO_COPIES
+
     def _region_snoop_errors(
         self, bits: int, region: int, request: RequestType, hint
     ) -> None:
@@ -1612,6 +1534,35 @@ class Machine:
             del cls[old]
         cls[new] = cls.get(new, 0) | bit
 
+    def _snoop_region_of(
+        self,
+        node: ProcessorNode,
+        region: int,
+        request: RequestType,
+        hint: Optional[bool],
+        requestor: Optional[int] = None,
+    ) -> RegionSnoopResponse:
+        """One observer's region snoop, outside the class-mask loop.
+
+        Runs :meth:`ProcessorNode.snoop_region` and mirrors a state
+        change into the region's class masks (a self-invalidation cleans
+        up through the untracked hook on its own; the line count, and so
+        the empty bit, never changes on a snoop).
+        """
+        rca = node.rca
+        entry = rca.probe(region) if rca is not None else None
+        if entry is None:
+            return NO_COPIES  # untracked: no effects, the OR identity
+        before = (entry.state.index << 1) | (1 if entry.line_count == 0 else 0)
+        response = node.snoop_region(region, request, hint, requestor=requestor)
+        if rca.probe(region) is entry:
+            after = (entry.state.index << 1) | (before & 1)
+            if after != before:
+                self._move_region_class(
+                    region, 1 << node.proc_id, before, after
+                )
+        return response
+
     def _targeted_request(
         self,
         proc: int,
@@ -1643,28 +1594,7 @@ class Machine:
             return None
         self.targeted_hits += 1
         self.c2c_transfers += 1
-        # The point-to-point snoop goes through the node's canonical
-        # path; with the inline loop active, mirror any class change
-        # into the region's masks (self-invalidation cleans up via the
-        # untracked hook on its own).
-        pre = None
-        if self._inline_region_snoop and target.rca is not None:
-            pre = target.rca.probe(region)
-            if pre is not None:
-                pre_class = (pre.state.index << 1) | (
-                    1 if pre.line_count == 0 else 0
-                )
-        target.snoop_region(
-            region, request, requestor_fills_exclusive=False, requestor=proc
-        )
-        if pre is not None and target.rca.probe(region) is pre:
-            post_class = (pre.state.index << 1) | (
-                1 if pre.line_count == 0 else 0
-            )
-            if post_class != pre_class:
-                self._move_region_class(
-                    region, 1 << owner, pre_class, post_class
-                )
+        self._snoop_region_of(target, region, request, False, requestor=proc)
         latency = (
             self._direct_to_proc[proc][owner]
             + self._cache_access_cycles
@@ -1687,11 +1617,6 @@ class Machine:
             self._tracer.route(request, RequestPath.TARGETED, address,
                                latency, now)
         return AccessOutcome(RequestPath.TARGETED, latency, request)
-
-    @staticmethod
-    def _requestor_region_state(node, region: int) -> RegionState:
-        entry = node.rca.probe(region) if node.rca is not None else None
-        return entry.state if entry is not None else RegionState.INVALID
 
     def _broadcast_latency(
         self,
@@ -1768,34 +1693,11 @@ class Machine:
             return
         if node.rca.victim_for(region) is not None:
             return  # never evict real state for a prefetch
-        responses = []
-        inline = self._inline_region_snoop
-        for other in self.nodes:
-            if other.proc_id == node.proc_id:
-                continue
-            # Canonical per-node snoop; with the inline loop active,
-            # mirror any class change into the region's masks.
-            pre = None
-            if inline and other.rca is not None:
-                pre = other.rca.probe(region)
-                if pre is not None:
-                    pre_class = (pre.state.index << 1) | (
-                        1 if pre.line_count == 0 else 0
-                    )
-            responses.append(
-                other.snoop_region(
-                    region, RequestType.PREFETCH, requestor_fills_exclusive=False
-                )
-            )
-            if pre is not None and other.rca.probe(region) is pre:
-                post_class = (pre.state.index << 1) | (
-                    1 if pre.line_count == 0 else 0
-                )
-                if post_class != pre_class:
-                    self._move_region_class(
-                        region, 1 << other.proc_id, pre_class, post_class
-                    )
-        combined = combine_region_responses(responses)
+        combined = combine_region_responses([
+            self._snoop_region_of(other, region, RequestType.PREFETCH, False)
+            for other in self.nodes
+            if other.proc_id != node.proc_id
+        ])
         if not self.config.two_bit_response:
             combined = combined.collapsed()
         state = RegionState.from_parts(LocalPart.CLEAN, combined.external_part)
@@ -1821,32 +1723,6 @@ class Machine:
         if request is RequestType.IFETCH:
             return not combined.owned
         return not combined.shared
-
-    @staticmethod
-    def _requestor_fills_exclusive(
-        request: RequestType, combined: SnoopResult
-    ) -> Optional[bool]:
-        """Whether a read-like request ends with an exclusive copy."""
-        if request in (RequestType.READ, RequestType.PREFETCH):
-            return not combined.shared
-        if request is RequestType.IFETCH:
-            return False  # ifetches fill SHARED
-        return None  # irrelevant for invalidating requests
-
-    def _exclusivity_hint(
-        self, fills_exclusive: Optional[bool], observer_cached_line: bool
-    ) -> Optional[bool]:
-        """What one observer knows about the requestor's fill state.
-
-        Section 3.1: known when the combined line response is visible to
-        the region protocol, or when the observer itself caches the line
-        (in which case the requestor cannot be exclusive).
-        """
-        if self.config.line_response_visible:
-            return fills_exclusive
-        if observer_cached_line:
-            return False if fills_exclusive is not None else None
-        return None
 
     # ------------------------------------------------------------------
     # Local fills and region-state maintenance
@@ -1882,61 +1758,52 @@ class Machine:
         if rca is not None and request is not RequestType.WRITEBACK:
             entry = region_entry
             current = entry.state if entry is not None else RegionState.INVALID
-            if self._inline_region_snoop:
-                # Flat-table twin of protocol.after_local_request (no
-                # transition matrix is recording in inline mode).
-                new_state = self._region_local_table[current.index][
-                    request.index][fill_state.index][
-                    0 if region_response is None
-                    else 1 + region_response.clean + 2 * region_response.dirty]
-                if new_state is None:  # tabulated error path
-                    new_state = node.protocol.after_local_request(
-                        current, request, fill_state, region_response
-                    )
-            else:
+            # Flat-table twin of protocol.after_local_request, which
+            # still runs for the tabulated error path (it raises) and
+            # while telemetry is attached (it records the transition).
+            new_state = self._region_local_table[current.index][
+                request.index][fill_state.index][
+                0 if region_response is None
+                else 1 + region_response.clean + 2 * region_response.dirty]
+            if new_state is None or self._transitions is not None:
                 new_state = node.protocol.after_local_request(
                     current, request, fill_state, region_response
                 )
             if entry is not None:
                 if new_state is not current:
-                    if self._inline_region_snoop:
-                        empty = 1 if entry.line_count == 0 else 0
-                        self._move_region_class(
-                            region, 1 << proc,
-                            (current.index << 1) | empty,
-                            (new_state.index << 1) | empty,
-                        )
+                    empty = 1 if entry.line_count == 0 else 0
+                    self._move_region_class(
+                        region, 1 << proc,
+                        (current.index << 1) | empty,
+                        (new_state.index << 1) | empty,
+                    )
                     entry.state = new_state
             elif new_state.is_valid and request.allocates_line:
                 home = (region >> self._region_home_shift) % self._region_home_mod
-                allocated_fast = False
-                if self._inline_region_snoop:
-                    # Fused allocation: with a free way (the common case
-                    # by far — region evictions are rare) the insert is
-                    # one dict store, with the stats bump and the
-                    # on_region_tracked effects (tracker bit + class
-                    # mask, for a fresh entry: line_count 0, so the
-                    # empty variant of the state's class) applied
-                    # inline. A full set falls through to the canonical
-                    # two-step eviction conversation.
-                    entries = self._rca_sets_by_pid[proc][
-                        region & self._rca_set_mask]
-                    if len(entries) < self._rca_ways:
-                        entries[region >> self._rca_set_bits] = RegionEntry(
-                            region, new_state, home
-                        )
-                        rca.allocations += 1
-                        pid_bit = 1 << proc
-                        trackers = self._region_trackers
-                        trackers[region] = trackers.get(region, 0) | pid_bit
-                        classes = self._region_classes
-                        cls = classes.get(region)
-                        if cls is None:
-                            cls = classes[region] = {}
-                        c = (new_state.index << 1) | 1
-                        cls[c] = cls.get(c, 0) | pid_bit
-                        allocated_fast = True
-                if not allocated_fast:
+                # Fused allocation: with a free way (the common case by
+                # far — region evictions are rare) the insert is one dict
+                # store, with the stats bump and the on_region_tracked
+                # effects (tracker bit + class mask, for a fresh entry:
+                # line_count 0, so the empty variant of the state's
+                # class) applied inline. A full set takes the canonical
+                # two-step eviction conversation.
+                entries = self._rca_sets_by_pid[proc][
+                    region & self._rca_set_mask]
+                if len(entries) < self._rca_ways:
+                    entries[region >> self._rca_set_bits] = RegionEntry(
+                        region, new_state, home
+                    )
+                    rca.allocations += 1
+                    pid_bit = 1 << proc
+                    trackers = self._region_trackers
+                    trackers[region] = trackers.get(region, 0) | pid_bit
+                    classes = self._region_classes
+                    cls = classes.get(region)
+                    if cls is None:
+                        cls = classes[region] = {}
+                    c = (new_state.index << 1) | 1
+                    cls[c] = cls.get(c, 0) | pid_bit
+                else:
                     _entry, writebacks = node.allocate_region(
                         region, new_state, home
                     )
@@ -2073,7 +1940,7 @@ class Machine:
                 )
                 if node.rca is not None:
                     node.rca._telemetry_eviction_hist = None
-            self._refresh_region_snoop_tables()
+            self._transitions = None
             return
 
         self._tel_demand_hist = registry.histogram(
@@ -2103,7 +1970,7 @@ class Machine:
             node.l2.attach_telemetry(registry)
             if node.rca is not None:
                 node.rca.attach_telemetry(registry)
-        self._refresh_region_snoop_tables()
+        self._transitions = transitions
 
         # Figure 2/7/10 aggregates as interval probes: each series records
         # the per-window delta of its cumulative source, so series totals

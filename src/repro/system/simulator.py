@@ -119,12 +119,6 @@ class Simulator:
     simulated time advances. Telemetry only records — the simulated
     machine's behaviour and results are bit-identical with or without it.
 
-    ``snoop`` selects the machine's phase-1 snoop implementation:
-    ``"bitmask"`` (the default holder-bitmask fast path) or ``"walk"``
-    (the original per-peer loop, the reference for the snoop-equivalence
-    tests). Both produce bit-identical results — see
-    :class:`~repro.system.machine.Machine`, which validates it.
-
     ``sanitizer`` (a
     :class:`~repro.validate.sanitizer.CoherenceSanitizer`) audits the
     machine's coherence state every N steps and once more at the end of
@@ -153,17 +147,15 @@ class Simulator:
 
     def __init__(
         self, config: SystemConfig, seed: int = 0, telemetry=None,
-        sanitizer=None, step_observer=None, snoop: str = "bitmask",
-        tracer=None,
+        sanitizer=None, step_observer=None, tracer=None,
     ) -> None:
         self.config = config
         self.seed = seed
         self.telemetry = telemetry
-        self.snoop = snoop
         self.sanitizer = sanitizer
         self.step_observer = step_observer
         self.tracer = tracer
-        self.machine = Machine(config, seed=seed, snoop=snoop)
+        self.machine = Machine(config, seed=seed)
         self._ran = False
         if telemetry is not None:
             self.machine.attach_telemetry(telemetry)
@@ -400,11 +392,10 @@ def run_workload(
     warmup_fraction: float = 0.0,
     telemetry=None,
     sanitizer=None,
-    snoop: str = "bitmask",
     tracer=None,
 ) -> RunResult:
     """One-shot convenience: build a simulator, run, return the result."""
     return Simulator(
         config, seed=seed, telemetry=telemetry, sanitizer=sanitizer,
-        snoop=snoop, tracer=tracer,
+        tracer=tracer,
     ).run(workload, warmup_fraction=warmup_fraction)

@@ -282,14 +282,14 @@ class TransitionMatrix:
         self.help = help
         self.counts: Dict[Tuple[str, str, str], int] = {}
 
-    def record(self, source, event: str, target) -> None:
-        """Count one transition; states may be enums (``.value`` used)."""
+    def record(self, source, event: str, target, count: int = 1) -> None:
+        """Count *count* identical transitions (enum states: ``.value``)."""
         key = (
             getattr(source, "value", source),
             event,
             getattr(target, "value", target),
         )
-        self.counts[key] = self.counts.get(key, 0) + 1
+        self.counts[key] = self.counts.get(key, 0) + count
 
     @property
     def total(self) -> int:
@@ -357,7 +357,7 @@ class _NullSeries(IntervalSeries):
 class _NullTransitionMatrix(TransitionMatrix):
     __slots__ = ()
 
-    def record(self, source, event: str, target) -> None:
+    def record(self, source, event: str, target, count: int = 1) -> None:
         pass
 
 

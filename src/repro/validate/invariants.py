@@ -33,7 +33,9 @@ the copy can be silently modified):
 * external letter Clean (CC/DC) ⇒ other processors hold at most SHARED
   copies of the region's lines (a remote M/O/E would have answered
   Region-Dirty);
-* external letter Dirty (CD/DD) is conservative and constrains nothing.
+* external letter Dirty (CD/DD) is conservative and constrains nothing;
+* (deep audit) the machine's region-tracker bitmask and per-region
+  class masks agree with the RCAs' actual entries.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.coherence.line_states import LineState
+from repro.rca.states import RegionState
 
 #: Line states a remote processor may hold inside a region some tracker
 #: believes is externally *clean*: shared-only (see module docstring).
@@ -255,9 +258,10 @@ def check_machine(machine, deep: bool = True) -> List[str]:
     """Exhaustive sweep: every resident line, every tracked region.
 
     With ``deep`` the presence bitmasks are additionally audited for
-    stale entries (a mask naming a line/region no L2/RCA holds) and the
-    per-node L1⊆L2 / RCA inclusion assertions are folded in as
-    violations.
+    stale entries (a mask naming a line/region no L2/RCA holds), the
+    per-region class masks behind phase-2 region snoops are checked
+    against the RCA entries' (state, empty) classes, and the per-node
+    L1⊆L2 / RCA inclusion assertions are folded in as violations.
     """
     nodes = machine.nodes
     snapshot: _Snapshot = {}
@@ -373,6 +377,24 @@ def check_machine(machine, deep: bool = True) -> List[str]:
                 f"region {region:#x}: tracker bitmask {recorded:#b} "
                 f"disagrees with RCA contents {actual:#b}"
             )
+    # The phase-2 class masks: {(state.index << 1) | empty: pid mask}
+    # per region, derived from the same entries.
+    derived_classes: Dict[int, Dict[int, int]] = {}
+    for proc, entries in node_entries.items():
+        bit = 1 << proc
+        for entry in entries:
+            c = (entry.state.index << 1) | (entry.line_count == 0)
+            cls = derived_classes.setdefault(entry.region, {})
+            cls[c] = cls.get(c, 0) | bit
+    class_map = machine._region_classes
+    for region in set(class_map) | set(derived_classes):
+        recorded = class_map.get(region, {})
+        actual = derived_classes.get(region, {})
+        if recorded != actual:
+            violations.append(
+                f"region {region:#x}: class masks {_fmt_classes(recorded)} "
+                f"disagree with RCA contents {_fmt_classes(actual)}"
+            )
     # Inclusion, from the walks already done (line counts were audited
     # per entry above; node.check_inclusion() redoes the same walks for
     # standalone use).
@@ -407,6 +429,14 @@ def check_machine(machine, deep: bool = True) -> List[str]:
 
 def _fmt_holders(holders) -> str:
     return ", ".join(f"P{p}={s.value}" for p, s in holders)
+
+
+def _fmt_classes(classes: Dict[int, int]) -> str:
+    states = tuple(RegionState)
+    return "{" + ", ".join(
+        f"{states[c >> 1].value}{'/empty' if c & 1 else ''}={_fmt_mask(m)}"
+        for c, m in sorted(classes.items())
+    ) + "}"
 
 
 def _fmt_mask(mask: int) -> str:

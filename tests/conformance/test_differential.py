@@ -20,6 +20,8 @@ from repro.conformance.shrink import load_corpus_file, shrink_trace, write_repro
 from repro.harness.perfbench import bench_config
 from repro.rca.states import RegionState
 
+from tests.system.reference_snoop import snoop_path
+
 
 def _run(workload, config_name, telemetry=False, seed=0):
     return run_differential(
@@ -51,17 +53,17 @@ class TestCleanMachine:
     @pytest.mark.parametrize("config_name", ["4p-cgct", "32p-cgct"])
     def test_both_snoop_paths_conform_identically(self, config_name):
         # The golden model knows nothing about snoop implementations:
-        # walk and bitmask must both conform, over the same accesses
-        # and the same coherence event stream.
+        # the reference walks and the production paths must both
+        # conform, over the same accesses and coherence event stream.
         nprocs = int(config_name.split("p-")[0])
         workload = fuzz_trace(4, nprocs, ops_per_processor=24, seed=0)
-        outcomes = {
-            snoop: run_differential(
-                workload, bench_config(config_name), config_name,
-                seed=0, snoop=snoop,
-            )
-            for snoop in ("walk", "bitmask")
-        }
+        outcomes = {}
+        for snoop in ("walk", "bitmask"):
+            with snoop_path(snoop):
+                outcomes[snoop] = run_differential(
+                    workload, bench_config(config_name), config_name,
+                    seed=0,
+                )
         for snoop, outcome in outcomes.items():
             assert outcome.ok, (snoop, outcome.mismatches[:5])
         assert outcomes["walk"].accesses == outcomes["bitmask"].accesses

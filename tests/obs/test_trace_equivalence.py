@@ -1,11 +1,12 @@
 """The tracer's bit-identity contract.
 
 Attaching a :class:`SimTracer` must never change simulated results —
-the same contract the ``snoop="walk"`` reference path and the telemetry
-funnel are held to. These tests compare full result fingerprints
-(cycles, request routing, hit counters) with tracing off and on, across
-CGCT and baseline machines, sampled and ring capture modes, both snoop
-implementations, and with telemetry attached alongside.
+the same contract the reference snoop walks
+(``tests/system/reference_snoop.py``) and the telemetry funnel are held
+to. These tests compare full result fingerprints (cycles, request
+routing, hit counters) with tracing off and on, across CGCT and baseline
+machines, sampled and ring capture modes, the production snoop paths
+and the reference walks, and with telemetry attached alongside.
 """
 
 import pytest
@@ -14,6 +15,8 @@ from repro.harness.perfbench import bench_config
 from repro.obs.simtrace import SimTracer
 from repro.system.simulator import run_workload
 from repro.workloads.benchmarks import build_benchmark
+
+from tests.system.reference_snoop import snoop_path
 
 OPS = 600
 
@@ -70,10 +73,9 @@ def test_sampled_and_ring_modes_are_equivalent_too():
 def test_walk_snoop_with_tracer_matches_bitmask_without():
     config = bench_config("8p-cgct")
     workload = _workload(config)
-    plain = _fingerprint(_run(config, workload, snoop="bitmask"))
-    traced = _fingerprint(
-        _run(config, workload, tracer=SimTracer(), snoop="walk")
-    )
+    plain = _fingerprint(_run(config, workload))
+    with snoop_path("walk"):
+        traced = _fingerprint(_run(config, workload, tracer=SimTracer()))
     assert traced == plain
 
 

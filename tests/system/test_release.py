@@ -5,10 +5,14 @@ machine (the residency hooks, the probe-debt closures, the run-ahead
 streaks): otherwise every run's machine outlives it until the next
 full cyclic collection, and a process running many traces in a row
 holds several machines at once. Each run is checked with streaks
-(``"streak"``) and single-stepping under a step observer (``"off"``).
+(``"streak"``) and single-stepping under a step observer (``"off"``),
+on both phase-1 snoop paths: the holder bitmask (``"bitmask"``, every
+filter-free machine) and the per-peer loop (``"walk"``, which only
+Jetty/RegionScout-filtered machines run, so it adds a Jetty filter).
 Telemetry, a tracer and a sanitizer are not covered.
 """
 
+import dataclasses
 import gc
 import weakref
 
@@ -31,11 +35,15 @@ def test_dropped_simulator_frees_its_machine(config, snoop, stepping):
     workload = build_benchmark("tpc-b", 4, seed=0, ops_per_processor=400)
     enabled = gc.isenabled()
     gc.disable()
+    machine_config = CONFIGS[config]()
+    if snoop == "walk":
+        machine_config = dataclasses.replace(machine_config, jetty_enabled=True)
     try:
         simulator = Simulator(
-            CONFIGS[config](), snoop=snoop,
+            machine_config,
             step_observer=[].append if stepping == "off" else None,
         )
+        assert simulator.machine._bitmask_snoop is (snoop == "bitmask")
         simulator.run(workload, warmup_fraction=0.25)
         machine = weakref.ref(simulator.machine)
         del simulator

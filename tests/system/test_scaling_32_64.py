@@ -28,6 +28,7 @@ from repro.workloads.benchmarks import build_benchmark
 from repro.workloads.trace import TraceOp
 
 from tests.conftest import make_config, multitrace
+from tests.system.reference_snoop import snoop_path
 
 
 def scaling_tasks(processors, ops, seeds=(0, 1)):
@@ -113,7 +114,8 @@ class TestSnoopPathsAtScale:
         )
         results = {}
         for snoop in ("walk", "bitmask"):
-            sim = Simulator(config, seed=0, snoop=snoop)
+            with snoop_path(snoop):
+                sim = Simulator(config, seed=0)
             run = sim.run(trace)
             results[snoop] = (
                 run.per_processor_cycles, run.stats, run.broadcasts,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import SimulationError
 from repro.system.machine import Machine
 from repro.system.simulator import Simulator, run_workload
 from repro.workloads.trace import TraceOp
@@ -71,8 +71,11 @@ class TestOneShot:
 class TestSnoopOption:
     @pytest.mark.parametrize("build", [Machine, Simulator])
     def test_bad_snoop_is_a_configuration_error(self, build):
-        with pytest.raises(ConfigurationError, match="snoop"):
-            build(make_config(cgct=True), snoop="x")
+        # There is no snoop option: the config alone picks each snoop
+        # phase's path, so any ``snoop=`` is an unexpected keyword.
+        for snoop in ("x", "walk", "bitmask"):
+            with pytest.raises(TypeError, match="snoop"):
+                build(make_config(cgct=True), snoop=snoop)
 
 
 class TestDegenerateWorkloads:

@@ -1,14 +1,16 @@
-"""Holder-bitmask snoop path ≡ peer-walk snoop path, bit for bit.
+"""Production snoop paths ≡ the reference snoop walks, bit for bit.
 
-The CGCT fast path replaced the phase-1 per-peer snoop loop with an
-iteration over the maintained holder bitmask — O(holders) per broadcast
-instead of O(P) — with the skipped tag probes reconstructed from
-per-processor broadcast totals. The original loop is kept as
-``snoop="walk"`` precisely so these tests can assert the two paths are
-indistinguishable: same cycles, same stats, same per-node snoop
-counters, same telemetry aggregates — on hand-built traces, on
-randomized traces, on every benchmark × perf-config × seed cell of the
-matrix, and at 16 processors where holder sets are widest.
+The machine's phase-1 line snoops iterate the maintained holder bitmask
+— O(holders) per broadcast instead of O(P) — with the skipped tag probes
+reconstructed from per-processor broadcast totals, and its phase-2
+region snoops run over per-region state-class masks. The naive walks
+live in ``tests/system/reference_snoop.py`` (``ReferenceSnoopMachine``,
+selected here as ``"walk"``) precisely so these tests can assert the
+paths are indistinguishable: same cycles, same stats, same per-node
+snoop counters, same telemetry (including the ``rca.transitions``
+matrix) — on hand-built traces, on randomized traces, on every
+benchmark × perf-config × seed cell of the matrix, and at 16 processors
+where holder sets are widest.
 """
 
 import pytest
@@ -22,12 +24,14 @@ from repro.telemetry.registry import TelemetryRegistry
 from repro.workloads.benchmarks import BENCHMARKS, build_benchmark
 from repro.workloads.trace import TraceOp
 
-from tests.conftest import loads, make_config, multitrace
+from tests.conftest import loads, make_config, multitrace, stores
+from tests.system.reference_snoop import ReferenceSnoopMachine, snoop_path
 
 
 def run_with(snoop, config, workload, seed=0, telemetry=False):
     registry = TelemetryRegistry(interval=5_000) if telemetry else None
-    simulator = Simulator(config, seed=seed, telemetry=registry, snoop=snoop)
+    with snoop_path(snoop):
+        simulator = Simulator(config, seed=seed, telemetry=registry)
     result = simulator.run(workload)
     return simulator, result, registry
 
@@ -120,8 +124,8 @@ class TestSnoopEquivalence:
         assert_equivalent(make_config(cgct=False), multitrace(per_proc))
 
     def test_filtered_machines_are_unaffected_by_the_toggle(self):
-        # RegionScout/Jetty machines always run the general snoop loop:
-        # the toggle must be inert there, and results identical.
+        # RegionScout/Jetty machines run the per-peer loop in production
+        # too: the reference must be inert there, and results identical.
         for overrides in (
             dict(cgct=False, regionscout_enabled=True),
             dict(cgct=False, jetty_enabled=True),
@@ -204,7 +208,8 @@ class TestSixteenProcessorHolderSets:
         config = make_config(cgct=True, topology=self.TOPOLOGY)
         results = {}
         for snoop in ("walk", "bitmask"):
-            sim = Simulator(config, seed=0, snoop=snoop)
+            with snoop_path(snoop):
+                sim = Simulator(config, seed=0)
             run = sim.run(self.workload(), warmup_fraction=0.3)
             results[snoop] = (
                 run.per_processor_cycles,
@@ -216,34 +221,40 @@ class TestSixteenProcessorHolderSets:
 
 
 class TestInlineRegionSnoopEquivalence:
-    """Class-mask phase-2 snoops ≡ canonical per-node region snoops.
+    """Class-mask phase-2 snoops ≡ the per-node region-snoop walk.
 
-    A plain CGCT machine runs phase-2 region snoops inline over the
-    per-region class masks; attaching telemetry replaces the protocols
-    with recording ones, which disqualifies the inline path and routes
-    every region snoop through the canonical ``node.snoop_region`` walk.
-    Running the same trace both ways therefore differentially tests the
-    entire class-mask machinery — mask maintenance across allocations,
-    evictions, self-invalidations, line-count crossings and external
-    transitions — against the reference implementation.
+    Every CGCT machine runs phase-2 region snoops over the per-region
+    class masks, with or without telemetry; ``ReferenceSnoopMachine``
+    runs ``node.snoop_region`` on every remote tracker instead. Running
+    the same trace both ways, with and without telemetry, therefore
+    differentially tests the entire class-mask machinery — mask
+    maintenance across allocations, evictions, self-invalidations,
+    line-count crossings and external transitions, and the transitions
+    it records into ``rca.transitions`` — against the walk.
     """
 
     @staticmethod
-    def _compare(config, workload, seed=0):
-        plain_sim, plain_run, _ = run_with("bitmask", config, workload, seed)
-        tel_sim, tel_run, tel_reg = run_with(
-            "bitmask", config, workload, seed, telemetry=True
-        )
-        # Guard the premise: the plain machine must actually be on the
-        # inline path and the instrumented one on the canonical walk —
-        # otherwise this test silently compares the walk to itself.
-        assert plain_sim.machine._inline_region_snoop
-        assert not tel_sim.machine._inline_region_snoop
-        plain_fp = fingerprint(plain_sim, plain_run, None)
-        tel_fp = fingerprint(tel_sim, tel_run, tel_reg)
-        tel_fp.pop("telemetry")
-        assert plain_fp == tel_fp
-        return plain_sim
+    def _compare(config, workload, seed=0, require_walks=True):
+        production = None
+        for telemetry in (False, True):
+            fast_sim, fast_run, fast_reg = run_with(
+                "bitmask", config, workload, seed, telemetry=telemetry
+            )
+            walk_sim, walk_run, walk_reg = run_with(
+                "walk", config, workload, seed, telemetry=telemetry
+            )
+            # Guard the premise: the reference must actually have walked
+            # phase 2 — otherwise this compares production to itself.
+            # (A random trace may share no region, hence no phase 2.)
+            assert isinstance(walk_sim.machine, ReferenceSnoopMachine)
+            assert walk_sim.machine.region_walks > 0 or not require_walks
+            assert not isinstance(fast_sim.machine, ReferenceSnoopMachine)
+            assert fingerprint(fast_sim, fast_run, fast_reg) == fingerprint(
+                walk_sim, walk_run, walk_reg
+            )
+            if production is None:
+                production = fast_sim
+        return production
 
     def test_contended_trace(self):
         self._compare(make_config(cgct=True), contended_workload())
@@ -260,8 +271,20 @@ class TestInlineRegionSnoopEquivalence:
         config = make_config(cgct=True, rca_sets=4, l2_bytes=16 * 1024)
         self._compare(config, contended_workload(procs=4, lines=48))
 
+    def test_batched_self_invalidations(self):
+        # Three readers share each line (one region per line), then a
+        # late writer invalidates them: phase 1 empties the readers'
+        # regions, so phase 2 self-invalidates a multi-processor class
+        # group at once — recorded as one batched count, which must
+        # equal the walk's per-observer records.
+        lines = [0x40000 + i * 512 for i in range(8)]
+        per_proc = [stores(lines, gap=4000)] + [
+            loads(lines, gap=2 + proc) for proc in range(1, 4)
+        ]
+        self._compare(make_config(cgct=True), multitrace(per_proc))
+
     def test_hint_visibility_variants(self):
-        # The inline path computes exclusivity hints in closed form per
+        # The class-mask path computes exclusivity hints in closed form per
         # (request kind, combined response, visibility); every variant
         # must match the reference hint computation observably.
         for overrides in (
@@ -297,7 +320,7 @@ class TestInlineRegionSnoopEquivalence:
     def test_class_masks_audit_against_arrays(self):
         # After a run the maintained per-region class masks must agree
         # exactly with a from-scratch rebuild off the RCA arrays — the
-        # eager-maintenance invariant behind the inline snoop loop.
+        # eager-maintenance invariant behind the class-mask snoop loop.
         sim = self._compare(
             make_config(cgct=True, rca_sets=8), contended_workload(lines=40)
         )
@@ -344,4 +367,5 @@ class TestInlineRegionSnoopEquivalence:
     )
     def test_randomized_traces(self, data, seed):
         config = make_config(cgct=True, rca_sets=8, perturbation=6)
-        self._compare(config, multitrace(data), seed=seed)
+        self._compare(config, multitrace(data), seed=seed,
+                      require_walks=False)

@@ -34,6 +34,7 @@ from repro.workloads.trace import TraceOp
 
 from tests.conftest import loads, make_config, multitrace
 from tests.system.reference_scheduler import ReferenceSimulator
+from tests.system.reference_snoop import snoop_path
 
 #: Telemetry interval: short enough that the small hand-built traces
 #: (a few thousand cycles) cross several sample boundaries mid-run.
@@ -46,11 +47,13 @@ WARMUP = 0.4
 def run_with(simulator_class, config, workload, seed=0, telemetry=False,
              warmup=0.0, tracer=None, sanitizer=None, step_observer=None,
              snoop="bitmask", interval=INTERVAL):
+    # ``snoop="walk"`` builds the machine as ReferenceSnoopMachine.
     registry = TelemetryRegistry(interval=interval) if telemetry else None
-    simulator = simulator_class(
-        config, seed=seed, telemetry=registry, sanitizer=sanitizer,
-        step_observer=step_observer, snoop=snoop, tracer=tracer,
-    )
+    with snoop_path(snoop):
+        simulator = simulator_class(
+            config, seed=seed, telemetry=registry, sanitizer=sanitizer,
+            step_observer=step_observer, tracer=tracer,
+        )
     result = simulator.run(workload, warmup_fraction=warmup)
     return simulator, result, registry
 

@@ -173,6 +173,21 @@ class TestTransitionMatrix:
         assert m.total == 3
         assert m.coverage() == 2
 
+    def test_count_records_that_many_transitions(self):
+        # The class-mask region snoop records one count per class group;
+        # that must equal one record per observer.
+        batched, single = TransitionMatrix("b"), TransitionMatrix("s")
+        batched.record(RegionState.CLEAN_CLEAN, "external.rfo",
+                       RegionState.CLEAN_DIRTY, count=3)
+        for _ in range(3):
+            single.record(RegionState.CLEAN_CLEAN, "external.rfo",
+                          RegionState.CLEAN_DIRTY)
+        assert batched.counts == single.counts == {("CC", "external.rfo",
+                                                    "CD"): 3}
+        assert batched.to_dict() == single.to_dict()
+        NULL_TRANSITIONS.record("CC", "external.rfo", "CD", count=3)
+        assert NULL_TRANSITIONS.total == 0
+
     def test_merge_adds_cells(self):
         a, b = TransitionMatrix("a"), TransitionMatrix("b")
         a.record("I", "x", "CI")

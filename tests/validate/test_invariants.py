@@ -164,6 +164,28 @@ class TestDeepAudit:
         violations = check_machine(machine, deep=True)
         assert any("tracker bitmask" in v for v in violations)
 
+    def test_corrupt_class_mask_is_flagged(self, machine):
+        # Phase-2 region snoops read the class masks, not the entries:
+        # move one tracker's bit into the class of a state its entry
+        # does not have, leaving the entry and the tracker mask intact.
+        node, entry = find_region_entry(machine, "D")
+        region = entry.region
+        classes = machine._region_classes[region]
+        bit = 1 << node.proc_id
+        empty = 1 if entry.line_count == 0 else 0
+        c = (entry.state.index << 1) | empty
+        wrong = (RegionState.CLEAN_INVALID.index << 1) | empty
+        assert classes[c] & bit and wrong != c
+        classes[c] &= ~bit
+        if not classes[c]:
+            del classes[c]
+        classes[wrong] = classes.get(wrong, 0) | bit
+        assert check_machine(machine, deep=False) == []
+        violations = check_machine(machine, deep=True)
+        assert len(violations) == 1
+        assert f"region {region:#x}: class masks" in violations[0]
+        assert "CI=P{" in violations[0]
+
     def test_machine_entry_point_raises_assertion(self, machine):
         # The historical Machine.check_coherence_invariants contract:
         # AssertionError whose text carries every violation.
