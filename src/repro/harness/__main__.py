@@ -8,7 +8,7 @@ Examples::
     python -m repro.harness fig8 fig9 --workers 4 --runlog runs.jsonl
     python -m repro.harness fig2 --quick --telemetry --no-cache
     python -m repro.harness telemetry barnes --ops 20000 --trace-dump t.jsonl
-    python -m repro.harness perf --quick --check BENCH_core.json
+    python -m repro.harness perf --check BENCH_core.json
 
 Simulation results are cached on disk (``.repro-cache/`` by default, or
 ``$REPRO_CACHE_DIR``) keyed by configuration + workload + code version,
@@ -38,9 +38,10 @@ supervised sweep — summarizes them, decomposes the critical path
 against the telemetry histograms, and exports Chrome trace-event JSON
 that Perfetto loads directly (see ``docs/tracing.md``).
 
-The ``perf`` subcommand benchmarks the simulation core itself —
-simulated ops per host second across the canonical 4/8/16-processor
-configs — and writes ``BENCH_core.json`` (see ``docs/performance.md``).
+The ``perf`` subcommand generates the simulator's fingerprint corpus —
+the 4–64-processor scaling rows plus every benchmark × corpus config ×
+seed cell, as result digests — and writes ``BENCH_core.json``, or checks
+a committed one with ``--check`` (see ``docs/performance.md``).
 
 The ``conformance`` subcommand fuzzes the coherence protocol
 differentially against the golden reference model (see

@@ -22,8 +22,8 @@ from dataclasses import replace
 from typing import Dict, List
 
 from repro.harness.experiments import ExperimentResult, RunOptions
+from repro.harness.perfbench import _topology_for
 from repro.harness.runcache import RunCache
-from repro.interconnect.topology import Topology
 from repro.system.config import SystemConfig
 
 #: Workloads that stress the mechanisms differently: migratory-heavy,
@@ -117,18 +117,6 @@ def extensions(options: RunOptions, cache: RunCache) -> ExperimentResult:
                "state prefetch targets the ~4 % of requests whose region "
                "state was invalid (Section 6)."],
     )
-
-
-def _topology_for(processors: int) -> Topology:
-    if processors == 4:
-        return Topology()
-    if processors == 8:
-        return Topology(cores_per_chip=2, chips_per_switch=2,
-                        switches_per_board=2, boards=1)
-    if processors == 16:
-        return Topology(cores_per_chip=2, chips_per_switch=2,
-                        switches_per_board=2, boards=2)
-    raise ValueError(f"no topology defined for {processors} processors")
 
 
 def scaling(options: RunOptions, cache: RunCache) -> ExperimentResult:

@@ -1,36 +1,36 @@
-"""Simulation-core throughput benchmark (``python -m repro.harness perf``).
+"""Fingerprint corpus (``python -m repro.harness perf``).
 
-Every figure the harness regenerates is bottlenecked by the per-operation
-cost of the simulation core, so host-side throughput is a tracked result
-in its own right. This module times the canonical 4/8/16-processor
-baseline and CGCT machines on one benchmark trace, reports
-simulated-ops-per-host-second for each, and writes the whole measurement
-— host metadata included, so points are comparable across machines — to
-``BENCH_core.json`` at the repo root. The committed file is the perf
-trajectory; CI re-measures at reduced ops and fails on regression (see
-``check_against``).
+``BENCH_core.json`` at the repo root pins the simulator's behaviour,
+not its speed. It holds two sets of deterministic results:
 
-The module is deliberately runnable as a plain script
-(``python src/repro/harness/perfbench.py``) so the *same* measurement
-code can be pointed at an older checkout via ``PYTHONPATH`` — that is
-how the ``reference`` block (pre-optimisation core, same host) in the
-committed benchmark was produced.
+* ``configs`` — the ten scaling rows (:data:`PERF_CONFIGS`, 4–64
+  processors, baseline and CGCT) at the ``suite`` parameters, each a
+  5-key :func:`result_fingerprint`;
+* ``corpus`` — every benchmark × :data:`CORPUS_CONFIGS` × seed on the
+  paper's 4-processor machine. Each cell stores its fingerprint, the
+  sha256 ``digest`` of its full :func:`run_record`, and the
+  ``telemetry_digest`` of ``registry.to_dict()`` from a second run with
+  telemetry attached — whose run record must equal the plain run's.
+
+``perf`` regenerates the file; ``perf --check PATH`` regenerates every
+row and cell and names each one missing from, extra to, or different in
+PATH. Host time is measured elsewhere: ``bench/run.py`` is the
+benchmark, and ``scripts/ab.py`` compares two trees with it and appends
+the result to ``BENCH_history.jsonl``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import hashlib
 import json
-import os
-import platform
-import subprocess
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Tuple
 
-SCHEMA = "bench-core/v1"
+SCHEMA = "bench-core/v2"
 
 #: Canonical machine points: (config name, processors, cgct?). The 4p
 #: pair is the paper machine; 8p/16p follow the scaling experiment's
@@ -49,6 +49,43 @@ PERF_CONFIGS = (
     ("64p-baseline", 64, False),
     ("64p-cgct", 64, True),
 )
+
+#: The scaling rows' run parameters (the ``suite`` block).
+SUITE = {
+    "workload": "barnes",
+    "ops_per_processor": 12_000,
+    "seed": 0,
+    "warmup_fraction": 0.0,
+}
+
+#: The corpus machines: (name, CGCT region bytes or None for the
+#: baseline, field overrides). Each toggles one mechanism or ablation
+#: of the paper machine, so a change to any of them moves a digest.
+CORPUS_CONFIGS = (
+    ("baseline", None, {}),
+    ("cgct-512", 512, {}),
+    ("cgct-256", 256, {}),
+    ("no-self-invalidation", 512, {"self_invalidation": False}),
+    ("one-bit-response", 512, {"two_bit_response": False}),
+    ("line-response-hidden", 512, {"line_response_visible": False}),
+    ("owner-prediction", 512, {"owner_prediction": True}),
+    ("region-state-prefetch", 512, {"region_state_prefetch": True}),
+    ("section6-filters", 512, {"prefetch_region_filter": True,
+                               "dram_speculation_filter": True,
+                               "region_state_prefetch": True}),
+    ("regionscout", None, {"regionscout_enabled": True}),
+    ("jetty", None, {"jetty_enabled": True}),
+    ("rca-64-sets", 512, {"rca_sets": 64}),
+)
+
+#: The corpus cells' run parameters (the ``corpus`` block).
+CORPUS = {
+    "processors": 4,
+    "ops_per_processor": 5_000,
+    "seeds": [0, 1],
+    "warmup_fraction": 0.4,
+    "telemetry_interval": 5_000,
+}
 
 
 def _topology_for(processors: int):
@@ -73,7 +110,7 @@ def _topology_for(processors: int):
 
 
 def bench_config(name: str):
-    """The :class:`SystemConfig` behind one named benchmark point."""
+    """The :class:`SystemConfig` behind one named scaling row."""
     from repro.system.config import SystemConfig
 
     for config_name, processors, cgct in PERF_CONFIGS:
@@ -84,65 +121,172 @@ def bench_config(name: str):
     raise ValueError(f"unknown perf config {name!r}")
 
 
-def host_metadata() -> Dict:
-    """Where this measurement was taken (for cross-host comparability)."""
+def corpus_config(name: str):
+    """The :class:`SystemConfig` behind one named corpus machine."""
+    from repro.system.config import SystemConfig
+
+    for config_name, region_bytes, overrides in CORPUS_CONFIGS:
+        if config_name == name:
+            base = (SystemConfig.paper_baseline() if region_bytes is None
+                    else SystemConfig.paper_cgct(region_bytes))
+            return replace(base, **overrides)
+    raise ValueError(f"unknown corpus config {name!r}")
+
+
+def corpus_cells() -> List[Tuple[str, str, int]]:
+    """Every (benchmark, corpus config, seed), in file order."""
+    from repro.workloads.benchmarks import BENCHMARKS
+
+    return [
+        (benchmark, name, seed)
+        for benchmark in BENCHMARKS
+        for name, _, _ in CORPUS_CONFIGS
+        for seed in CORPUS["seeds"]
+    ]
+
+
+def cell_name(benchmark: str, config_name: str, seed: int) -> str:
+    return f"{benchmark}/{config_name}/seed{seed}"
+
+
+def result_fingerprint(result) -> Dict[str, int]:
+    """The five headline counters that pin a run."""
     return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
-        "git_sha": _git_sha(),
+        "cycles": result.cycles,
+        "external_requests": result.stats.total_external,
+        "broadcasts": result.broadcasts,
+        "l1_hits": result.l1_hits,
+        "l2_hits": result.l2_hits,
     }
 
 
-def _git_sha() -> Optional[str]:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-            cwd=Path(__file__).resolve().parent,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
+def run_record(simulator, result) -> Dict:
+    """Everything observable about one run, as a JSON-ready dict.
 
-
-def version_drift_warning(flag: str, payload: Dict,
-                          current_sha: Optional[str]) -> Optional[str]:
-    """Loud warning when a comparison file predates the current code.
-
-    A committed ``BENCH_core.json`` goes stale the moment the simulator
-    changes: ``--check`` would gate against a measurement of *different
-    code*, and ``--reference`` speedups silently mix code drift with
-    host drift. Returns the warning text (None when the SHAs match or
-    either side is unknown — exported trees have no git metadata).
+    Every :class:`~repro.system.simulator.RunResult` field (the config
+    as its :func:`~repro.harness.cache.config_fingerprint`, the request
+    statistics per routing and category), the machine's request paths
+    and per-path latency moments, and each node's snoop probes and
+    hits.
     """
-    recorded = payload.get("host", {}).get("git_sha")
-    if not recorded or not current_sha or recorded == current_sha:
-        return None
-    return (
-        f"WARNING: {flag} measurement was recorded at git {recorded}, but "
-        f"the current tree is {current_sha} — the comparison spans "
-        "different code versions. For honest speedup ratios re-measure "
-        "the reference from that commit on this host (git worktree + "
-        "PYTHONPATH keeps it one command); for --check this usually "
-        "just means the committed baseline wants refreshing."
-    )
+    from repro.harness.cache import config_fingerprint
+
+    record: Dict = {}
+    for f in dataclasses.fields(result):
+        value = getattr(result, f.name)
+        if f.name == "config":
+            value = config_fingerprint(value)
+        elif f.name == "stats":
+            value = {
+                kind.name: {c.name: n for c, n in getattr(value, kind.name)
+                            .items()}
+                for kind in dataclasses.fields(value)
+            }
+        record[f.name] = value
+    machine = simulator.machine
+    record["request_paths"] = {
+        f"{request.name}/{path.name}": n
+        for (request, path), n in machine.request_paths.items()
+    }
+    record["path_latency"] = {
+        f"{request.name}/{path.name}": [s.count, s.mean, s.minimum,
+                                        s.maximum]
+        for (request, path), s in machine.path_latency.items()
+    }
+    record["snoop_probes"] = [n.l2.snoop_probes for n in machine.nodes]
+    record["snoop_hits"] = [n.l2.snoop_hits for n in machine.nodes]
+    return record
 
 
-def load_measurement(path, flag: str, current_host: Optional[Dict] = None,
-                     ) -> Dict:
-    """Load and vet a ``BENCH_core.json`` for ``--reference``/``--check``.
+def digest(value) -> str:
+    """sha256 of *value*'s canonical JSON."""
+    text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def corpus_trace(benchmark: str, processors: int, ops_per_processor: int):
+    """A benchmark trace as every row and cell builds it (trace seed 0)."""
+    from repro.workloads.benchmarks import build_benchmark
+
+    return build_benchmark(benchmark, num_processors=processors,
+                           ops_per_processor=ops_per_processor, seed=0)
+
+
+def scaling_row(name: str) -> Dict:
+    """One ``configs`` row: the named machine at the :data:`SUITE`."""
+    from repro.system.simulator import Simulator
+
+    config = bench_config(name)
+    trace = corpus_trace(SUITE["workload"], config.num_processors,
+                         SUITE["ops_per_processor"])
+    result = Simulator(config, seed=SUITE["seed"]).run(
+        trace, warmup_fraction=SUITE["warmup_fraction"])
+    return {
+        "processors": config.num_processors,
+        "mode": "cgct" if config.cgct_enabled else "baseline",
+        "simulated_ops": config.num_processors * SUITE["ops_per_processor"],
+        "fingerprint": result_fingerprint(result),
+    }
+
+
+def corpus_cell(benchmark: str, config_name: str, seed: int) -> Dict:
+    """One corpus cell: fingerprint, record digest, telemetry digest.
+
+    A telemetry run whose record differs from the plain run's adds a
+    ``telemetry_record_digest`` key, which no committed cell has, so
+    ``--check`` reports the cell and ``perf`` refuses to write it.
+    """
+    from repro.system.simulator import Simulator
+    from repro.telemetry.registry import TelemetryRegistry
+
+    config = corpus_config(config_name)
+    trace = corpus_trace(benchmark, CORPUS["processors"],
+                         CORPUS["ops_per_processor"])
+    registry = TelemetryRegistry(interval=CORPUS["telemetry_interval"])
+    runs = []
+    for telemetry in (None, registry):
+        simulator = Simulator(config, seed=seed, telemetry=telemetry)
+        result = simulator.run(
+            trace, warmup_fraction=CORPUS["warmup_fraction"])
+        runs.append((result, digest(run_record(simulator, result))))
+    (plain, plain_digest), (_, observed_digest) = runs
+    cell = {
+        "fingerprint": result_fingerprint(plain),
+        "digest": plain_digest,
+        "telemetry_digest": digest(registry.to_dict()),
+    }
+    if observed_digest != plain_digest:
+        cell["telemetry_record_digest"] = observed_digest
+    return cell
+
+
+def generate() -> Dict:
+    """Run every scaling row and corpus cell; returns the payload."""
+    return {
+        "schema": SCHEMA,
+        "suite": dict(SUITE),
+        "configs": {name: scaling_row(name) for name, _, _ in PERF_CONFIGS},
+        "corpus": {
+            **CORPUS,
+            "cells": {
+                cell_name(*cell): corpus_cell(*cell)
+                for cell in corpus_cells()
+            },
+        },
+    }
+
+
+def dumps(payload: Dict) -> str:
+    """The file text for *payload* (byte-stable for equal payloads)."""
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def load_measurement(path) -> Dict:
+    """Load and vet a ``bench-core/v2`` file for ``--check``.
 
     Raises :class:`~repro.common.errors.ConfigurationError` with an
     actionable message when the file is missing, unreadable, or the
-    wrong schema. Pass ``current_host`` (from :func:`host_metadata`) to
-    additionally require the measurement to come from a compatible host
-    — speedup ratios (``--reference``) are meaningless across hosts,
-    while regression checks (``--check``) tolerate host drift via their
-    threshold, so only ``--reference`` callers should pass it.
+    wrong schema.
     """
     from repro.common.errors import ConfigurationError
 
@@ -152,419 +296,154 @@ def load_measurement(path, flag: str, current_host: Optional[Dict] = None,
     )
     if not path.exists():
         raise ConfigurationError(
-            f"{flag}: no measurement at {path} — {regenerate}, or point "
-            f"{flag} at an existing bench-core measurement (the committed "
-            f"one lives at the repo root as BENCH_core.json)"
+            f"--check: no corpus at {path} — {regenerate}, or point "
+            f"--check at an existing one (the committed one lives at the "
+            f"repo root as BENCH_core.json)"
         )
     try:
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigurationError(
-            f"{flag}: {path} is not a readable JSON measurement "
-            f"({exc}) — {regenerate}"
+            f"--check: {path} is not a readable JSON corpus ({exc}) — "
+            f"{regenerate}"
         ) from None
     schema = payload.get("schema") if isinstance(payload, dict) else None
     if schema != SCHEMA:
         raise ConfigurationError(
-            f"{flag}: {path} has schema {schema!r}, expected {SCHEMA!r} — "
-            f"it is not a perf-suite measurement; {regenerate}"
-        )
-    if current_host is not None:
-        host = payload.get("host", {})
-        mismatched = [
-            f"{field}: {host.get(field)!r} (file) vs "
-            f"{current_host.get(field)!r} (this host)"
-            for field in ("machine", "implementation")
-            if host.get(field) != current_host.get(field)
-        ]
-        if mismatched:
-            raise ConfigurationError(
-                f"{flag}: {path} was measured on an incompatible host — "
-                + "; ".join(mismatched)
-                + ". Speedups are only meaningful against a same-host "
-                "reference: re-measure the reference on this machine, or "
-                "use --check (whose threshold tolerates host drift) "
-                "instead."
-            )
-    return payload
-
-
-def measure_config(
-    name: str,
-    ops_per_processor: int,
-    workload: str = "barnes",
-    seed: int = 0,
-    warmup_fraction: float = 0.0,
-    repeats: int = 2,
-    profiler=None,
-    check_invariants: str = "",
-) -> Dict:
-    """Time one config; returns its ``configs`` cell for the payload.
-
-    The trace is built once (untimed); each repeat rebuilds the machine
-    and replays the whole trace. Throughput is best-of-*repeats* — the
-    minimum wall time is the least-noisy estimate of the core's speed.
-    The fingerprint (cycles and headline counters) is recorded so any
-    two measurements with identical suite parameters can be checked for
-    bit-identical simulation behaviour, not just speed.
-    """
-    from repro.system.simulator import Simulator
-    from repro.workloads.benchmarks import build_benchmark
-
-    config = bench_config(name)
-    trace = build_benchmark(
-        workload, num_processors=config.num_processors,
-        ops_per_processor=ops_per_processor, seed=0,
-    )
-    simulated_ops = sum(len(t) for t in trace.per_processor)
-    best_wall = None
-    result = None
-    for _ in range(max(1, repeats)):
-        sanitizer = None
-        if check_invariants:
-            from repro.validate.sanitizer import CoherenceSanitizer
-
-            sanitizer = CoherenceSanitizer(mode=check_invariants)
-        simulator = Simulator(config, seed=seed, sanitizer=sanitizer)
-        start = time.perf_counter()
-        if profiler is not None:
-            with profiler.phase(f"simulate:{name}"):
-                run = simulator.run(trace, warmup_fraction=warmup_fraction)
-            profiler.count_events(simulated_ops, phase=f"simulate:{name}")
-        else:
-            run = simulator.run(trace, warmup_fraction=warmup_fraction)
-        wall = time.perf_counter() - start
-        if best_wall is None or wall < best_wall:
-            best_wall = wall
-        if result is None:
-            result = run
-    return {
-        "processors": config.num_processors,
-        "mode": "cgct" if config.cgct_enabled else "baseline",
-        "simulated_ops": simulated_ops,
-        "wall_s": round(best_wall, 4),
-        "ops_per_host_second": round(simulated_ops / best_wall, 1),
-        "fingerprint": {
-            "cycles": result.cycles,
-            "external_requests": result.stats.total_external,
-            "broadcasts": result.broadcasts,
-            "l1_hits": result.l1_hits,
-            "l2_hits": result.l2_hits,
-        },
-    }
-
-
-def run_suite(
-    ops_per_processor: int = 12_000,
-    workload: str = "barnes",
-    seed: int = 0,
-    warmup_fraction: float = 0.0,
-    repeats: int = 2,
-    configs: Optional[Sequence[str]] = None,
-    profiler=None,
-    check_invariants: str = "",
-) -> Dict:
-    """Measure every requested config; returns the full JSON payload.
-
-    ``check_invariants`` ("sampled" or "deep") runs the coherence
-    sanitizer inside every timed repeat — that is how the sanitizer's
-    overhead is itself measured. The mode is recorded in the suite
-    block, so such payloads never fingerprint-compare against
-    plain measurements with a differently-shaped suite.
-    """
-    names = [n for n, _, _ in PERF_CONFIGS]
-    if configs:
-        unknown = [c for c in configs if c not in names]
-        if unknown:
-            raise ValueError(f"unknown perf configs: {unknown}")
-        names = [n for n in names if n in configs]
-    payload: Dict = {
-        "schema": SCHEMA,
-        "generated": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "host": host_metadata(),
-        "suite": {
-            "workload": workload,
-            "ops_per_processor": ops_per_processor,
-            "seed": seed,
-            "warmup_fraction": warmup_fraction,
-            "repeats": repeats,
-        },
-        "configs": {},
-    }
-    if check_invariants:
-        payload["suite"]["check_invariants"] = check_invariants
-    for name in names:
-        payload["configs"][name] = measure_config(
-            name, ops_per_processor, workload=workload, seed=seed,
-            warmup_fraction=warmup_fraction, repeats=repeats,
-            profiler=profiler, check_invariants=check_invariants,
+            f"--check: {path} has schema {schema!r}, expected {SCHEMA!r} — "
+            f"{regenerate}"
         )
     return payload
 
 
-def missing_configs(payload: Dict, other: Dict) -> List[str]:
-    """Config names *other* measured that *payload* did not.
-
-    The comparison helpers treat these as coverage loss: a comparison
-    file naming a config the new run lacks means a benchmark point
-    silently disappeared (renamed, dropped from ``PERF_CONFIGS``, or
-    lost to a typo), which must fail loudly rather than shrink the
-    comparison. The opposite direction — new configs absent from an
-    older file — is growth, and stays tolerated.
-    """
-    measured = payload.get("configs", {})
-    return sorted(n for n in other.get("configs", {}) if n not in measured)
-
-
-def attach_reference(payload: Dict, reference: Dict) -> Dict:
-    """Embed a same-host pre-optimisation measurement and the speedups.
-
-    Raises :class:`~repro.common.errors.ConfigurationError` when the
-    reference covers a config this run did not measure — a silently
-    shrunken comparison would report "all points sped up" while points
-    were disappearing.
-    """
-    from repro.common.errors import ConfigurationError
-
-    missing = missing_configs(payload, reference)
-    if missing:
-        raise ConfigurationError(
-            "--reference: reference measurement covers configs missing "
-            f"from this run: {', '.join(missing)} — a config disappeared "
-            "from the suite (renamed, or dropped from PERF_CONFIGS?). "
-            "Measure the full suite, or restrict the run explicitly with "
-            "--configs."
-        )
-    payload["reference"] = {
-        "host": reference.get("host", {}),
-        "suite": reference.get("suite", {}),
-        "configs": {
-            name: {
-                "wall_s": cell.get("wall_s"),
-                "ops_per_host_second": cell.get("ops_per_host_second"),
-            }
-            for name, cell in reference.get("configs", {}).items()
-        },
-    }
-    speedup = {}
-    for name, cell in payload["configs"].items():
-        ref = reference.get("configs", {}).get(name)
-        if ref and ref.get("ops_per_host_second"):
-            speedup[name] = round(
-                cell["ops_per_host_second"] / ref["ops_per_host_second"], 2
-            )
-    payload["speedup"] = speedup
-    return payload
-
-
-def check_against(payload: Dict, baseline: Dict,
-                  threshold: float = 0.25) -> List[str]:
-    """Regression check of *payload* against a committed *baseline*.
-
-    Returns human-readable failure strings (empty = pass). Two gates:
-
-    * throughput: any shared config more than *threshold* slower than
-      the baseline's ``ops_per_host_second`` fails (host differences add
-      noise, which is why the threshold is generous);
-    * behaviour: when the two measurements used identical suite
-      parameters, fingerprints must match exactly — a cheap whole-system
-      bit-identity check that is host-independent;
-    * coverage: every config the baseline measured must be present in
-      *payload* — a config disappearing from the run is coverage loss,
-      not a pass. (Configs new to *payload* are growth and compare
-      against nothing.)
-    """
-    failures = [
-        f"{name}: config present in the baseline but missing from this "
-        f"run — benchmark coverage was lost, not merely unchanged"
-        for name in missing_configs(payload, baseline)
+def _compare(kind: str, expected: Dict, committed: Dict) -> List[str]:
+    failures = [f"{kind} {name}: missing from the committed file"
+                for name in expected if name not in committed]
+    failures += [f"{kind} {name}: in the committed file but not generated"
+                 for name in committed if name not in expected]
+    failures += [
+        f"{kind} {name}: differs — generated {expected[name]}, committed "
+        f"{committed[name]}"
+        for name in expected
+        if name in committed and expected[name] != committed[name]
     ]
-    same_suite = {
-        k: v for k, v in payload.get("suite", {}).items() if k != "repeats"
-    } == {
-        k: v for k, v in baseline.get("suite", {}).items() if k != "repeats"
-    }
-    for name, cell in payload.get("configs", {}).items():
-        ref = baseline.get("configs", {}).get(name)
-        if ref is None:
-            continue
-        ref_rate = ref.get("ops_per_host_second")
-        rate = cell.get("ops_per_host_second")
-        if ref_rate and rate and rate < ref_rate * (1.0 - threshold):
-            failures.append(
-                f"{name}: {rate:.0f} ops/s is "
-                f"{1.0 - rate / ref_rate:.0%} below the baseline "
-                f"{ref_rate:.0f} ops/s (threshold {threshold:.0%})"
-            )
-        if same_suite and ref.get("fingerprint"):
-            if cell.get("fingerprint") != ref["fingerprint"]:
-                failures.append(
-                    f"{name}: fingerprint differs from baseline — "
-                    f"{cell.get('fingerprint')} vs {ref['fingerprint']}"
-                )
+    return failures
+
+
+def check_against(payload: Dict, baseline: Dict) -> List[str]:
+    """Every difference between a generated *payload* and a committed
+    *baseline*, one human-readable line each (empty = identical).
+
+    Names each scaling row and corpus cell that is missing from the
+    baseline, extra to it, or different in it, and any difference in
+    the run parameters behind them.
+    """
+    failures = []
+    for block in ("suite", "corpus"):
+        params = {k: v for k, v in payload.get(block, {}).items()
+                  if k != "cells"}
+        committed = {k: v for k, v in baseline.get(block, {}).items()
+                     if k != "cells"}
+        if params != committed:
+            failures.append(f"{block} parameters differ — generated "
+                            f"{params}, committed {committed}")
+    failures += _compare("row", payload.get("configs", {}),
+                         baseline.get("configs", {}))
+    failures += _compare("cell", payload.get("corpus", {}).get("cells", {}),
+                         baseline.get("corpus", {}).get("cells", {}))
     return failures
 
 
 def render(payload: Dict) -> str:
-    """Human-readable table of one measurement."""
-    lines = [
-        f"{'config':<14} {'ops':>9} {'wall s':>9} {'ops/host-s':>12} "
-        f"{'speedup':>8}",
-    ]
-    speedup = payload.get("speedup", {})
-    for name, cell in payload.get("configs", {}).items():
-        gain = speedup.get(name)
-        lines.append(
-            f"{name:<14} {cell['simulated_ops']:>9} {cell['wall_s']:>9.2f} "
-            f"{cell['ops_per_host_second']:>12.0f} "
-            f"{(f'{gain:.2f}x' if gain else '-'):>8}"
-        )
-    host = payload.get("host", {})
+    """Human-readable summary of one corpus."""
+    lines = [f"{'row':<14} {'ops':>9} {'cycles':>10} {'broadcasts':>11}"]
+    for name, row in payload["configs"].items():
+        fp = row["fingerprint"]
+        lines.append(f"{name:<14} {row['simulated_ops']:>9} "
+                     f"{fp['cycles']:>10} {fp['broadcasts']:>11}")
+    corpus = payload["corpus"]
+    configs = sorted({name.split("/")[1] for name in corpus["cells"]})
     lines.append(
-        f"[host: python {host.get('python')} on {host.get('machine')}, "
-        f"{host.get('cpu_count')} cpus, git {host.get('git_sha')}]"
+        f"corpus: {len(corpus['cells'])} cells at "
+        f"{corpus['processors']} processors × "
+        f"{corpus['ops_per_processor']} ops, warm-up "
+        f"{corpus['warmup_fraction']}; configs: {', '.join(configs)}"
     )
     return "\n".join(lines)
 
 
 def perf_command(argv) -> int:
-    """``python -m repro.harness perf [...]`` — measure, write, check."""
+    """``python -m repro.harness perf [...]`` — generate or check."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness perf",
-        description="Benchmark the simulation core (simulated ops per "
-                    "host second) across the canonical 4/8/16-processor "
-                    "configs and write BENCH_core.json.",
+        description="Generate the simulator's fingerprint corpus (the "
+                    "4–64-processor scaling rows and every benchmark × "
+                    "corpus config × seed cell) and write it, or check "
+                    "a committed one.",
     )
-    parser.add_argument("--ops", type=int, default=12_000,
-                        help="memory operations per processor "
-                             "(default 12000)")
-    parser.add_argument("--workload", default="barnes",
-                        help="benchmark trace to replay (default barnes)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="perturbation seed (default 0)")
-    parser.add_argument("--warmup", type=float, default=0.0,
-                        help="warm-up fraction (default 0: the timed run "
-                             "covers the whole trace)")
-    parser.add_argument("--repeats", type=int, default=2,
-                        help="timed repeats per config; best-of wins "
-                             "(default 2)")
-    parser.add_argument("--configs", nargs="*", default=None,
-                        help="restrict to these config names "
-                             f"(default: all of {[n for n, _, _ in PERF_CONFIGS]})")
-    parser.add_argument("--quick", action="store_true",
-                        help="reduced ops (3000) and one repeat, for CI "
-                             "smoke runs")
     parser.add_argument("--output", metavar="PATH", default="BENCH_core.json",
-                        help="where to write the measurement "
+                        help="where to write the corpus "
                              "(default BENCH_core.json)")
-    parser.add_argument("--no-write", action="store_true",
-                        help="measure and print only; leave --output alone")
-    parser.add_argument("--reference", metavar="PATH", default=None,
-                        help="embed this earlier same-host measurement as "
-                             "the reference and report speedups")
     parser.add_argument("--check", metavar="PATH", default=None,
-                        help="fail (exit 1) if this run regresses more "
-                             "than --threshold vs the measurement at PATH")
-    parser.add_argument("--threshold", type=float, default=0.25,
-                        help="allowed fractional throughput regression "
-                             "for --check (default 0.25)")
+                        help="regenerate and compare with the corpus at "
+                             "PATH instead of writing; exit 1 naming each "
+                             "missing, extra or different row and cell")
     parser.add_argument("--runlog", metavar="PATH", default=None,
-                        help="append the profile and measurement to PATH")
+                        help="append the workload-cache statistics to "
+                             "PATH (with --workload-cache)")
     parser.add_argument("--workload-cache", metavar="DIR", default=None,
                         dest="workload_cache",
                         help="materialize generated traces under DIR and "
                              "reuse them across configs and invocations "
                              "(also honoured via $REPRO_WORKLOAD_CACHE)")
-    parser.add_argument("--check-invariants", choices=("sampled", "deep"),
-                        default="", dest="check_invariants",
-                        help="run the coherence sanitizer inside every "
-                             "timed repeat (measures its overhead; "
-                             "results stay bit-identical)")
     args = parser.parse_args(argv)
 
     from repro.common.errors import ConfigurationError
-    from repro.telemetry.profile import Profiler
 
-    # Vet the comparison files up-front — before minutes of measurement
-    # that would be thrown away by a typo'd path. Host compatibility is
-    # only required of --reference (speedups need a same-host pair);
-    # --check runs against measurements from other hosts (CI does) and
-    # relies on its threshold instead.
-    try:
-        reference = baseline = None
-        if args.reference:
-            reference = load_measurement(args.reference, "--reference",
-                                         current_host=host_metadata())
-        if args.check:
-            baseline = load_measurement(args.check, "--check")
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    current_sha = _git_sha()
-    for flag, comparison in (("--reference", reference),
-                             ("--check", baseline)):
-        if comparison is not None:
-            warning = version_drift_warning(flag, comparison, current_sha)
-            if warning:
-                print(warning, file=sys.stderr)
+    # Vet the comparison file up-front — before minutes of runs that a
+    # typo'd path would throw away.
+    baseline = None
+    if args.check:
+        try:
+            baseline = load_measurement(args.check)
+        except ConfigurationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     if args.workload_cache:
         from repro.workloads.store import WorkloadStore, set_workload_store
 
         set_workload_store(WorkloadStore(args.workload_cache))
 
-    if args.configs:
-        # An explicit --configs restriction is a deliberate subset: trim
-        # the comparison files to the requested names so only configs
-        # that disappear *within* the requested set fail loudly.
-        for comparison in (reference, baseline):
-            if comparison is not None:
-                comparison["configs"] = {
-                    name: cell
-                    for name, cell in comparison.get("configs", {}).items()
-                    if name in args.configs
-                }
-
-    ops = 3_000 if args.quick else args.ops
-    repeats = 1 if args.quick else args.repeats
-    profiler = Profiler()
-    payload = run_suite(
-        ops_per_processor=ops, workload=args.workload, seed=args.seed,
-        warmup_fraction=args.warmup, repeats=repeats, configs=args.configs,
-        profiler=profiler, check_invariants=args.check_invariants,
-    )
-    if reference is not None:
-        attach_reference(payload, reference)
+    payload = generate()
     print(render(payload))
-    if not args.no_write:
-        Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"[benchmark written to {args.output}]")
     from repro.workloads.store import active_store
 
     store = active_store()
     if store is not None and store.enabled:
         print(f"[workload cache {store.cache_dir}: {store.hits} hits, "
               f"{store.misses} misses, {len(store)} entries]")
-    if args.runlog:
-        from repro.harness.runlog import RunLog
+        if args.runlog:
+            from repro.harness.runlog import RunLog
 
-        with RunLog(args.runlog) as runlog:
-            profiler.emit(runlog, command="perf", host=payload["host"],
-                          configs=payload["configs"])
-            if store is not None and store.enabled:
+            with RunLog(args.runlog) as runlog:
                 runlog.record("workload-cache", dir=str(store.cache_dir),
                               entries=len(store), **store.stats())
     if baseline is not None:
-        failures = check_against(payload, baseline,
-                                 threshold=args.threshold)
+        failures = check_against(payload, baseline)
+        for failure in failures:
+            print(f"CORPUS MISMATCH: {failure}", file=sys.stderr)
         if failures:
-            for failure in failures:
-                print(f"PERF REGRESSION: {failure}", file=sys.stderr)
             return 1
-        print(f"[perf check passed against {args.check} "
-              f"(threshold {args.threshold:.0%})]")
+        print(f"[corpus check passed against {args.check}]")
+        return 0
+    diverged = [name for name, cell in payload["corpus"]["cells"].items()
+                if "telemetry_record_digest" in cell]
+    if diverged:
+        for name in diverged:
+            print(f"CORPUS MISMATCH: cell {name}: the telemetry run's "
+                  f"record differs from the plain run's", file=sys.stderr)
+        return 1
+    Path(args.output).write_text(dumps(payload))
+    print(f"[corpus written to {args.output}]")
     return 0
-
-
-if __name__ == "__main__":  # standalone use: measure an older checkout
-    sys.exit(perf_command(sys.argv[1:]))

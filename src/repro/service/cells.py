@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.harness.parallel import ExperimentTask
+from repro.harness.perfbench import result_fingerprint
 from repro.harness.supervisor import sweep_fingerprint
 
 
@@ -108,18 +109,6 @@ def campaign_keys(spec: dict,
 def campaign_id_for(spec: dict, version: Optional[str] = None) -> str:
     """Content-addressed campaign id for *spec* (``c-`` + 12 hex)."""
     return "c-" + sweep_fingerprint(campaign_keys(spec, version))[:12]
-
-
-def result_fingerprint(result) -> Dict[str, int]:
-    """The headline counters that pin a run bit-for-bit (the same shape
-    the perf suite's determinism gate compares)."""
-    return {
-        "cycles": result.cycles,
-        "external_requests": result.stats.total_external,
-        "broadcasts": result.broadcasts,
-        "l1_hits": result.l1_hits,
-        "l2_hits": result.l2_hits,
-    }
 
 
 def campaign_result_fingerprint(

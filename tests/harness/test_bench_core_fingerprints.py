@@ -1,12 +1,11 @@
-"""The committed ``BENCH_core.json`` fingerprints, pinned in tier-1.
+"""The committed ``BENCH_core.json`` corpus, pinned in tier-1.
 
-Every cell of the tracked benchmark carries a fingerprint of its run —
-cycles, external requests, broadcasts, L1/L2 hits — at the file's
-recorded ``suite`` parameters. Re-running the 4- and 8-processor
-baseline and CGCT cells at those parameters must reproduce each
-fingerprint exactly: a whole-system, host-independent identity check
-on the simulator's results (the larger cells are checked by
-``repro.harness perf --check BENCH_core.json``).
+Re-running the 4- and 8-processor baseline and CGCT scaling rows at the
+file's ``suite`` parameters must reproduce each row exactly, and a
+stratified subset of the corpus — each of the twelve corpus configs
+once, rotating benchmark and seed — must reproduce each cell's
+fingerprint, record digest and telemetry digest. ``python -m
+repro.harness perf --check BENCH_core.json`` checks every row and cell.
 """
 
 import json
@@ -14,9 +13,30 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.perfbench import measure_config
+from repro.harness.perfbench import (
+    CORPUS,
+    CORPUS_CONFIGS,
+    SUITE,
+    cell_name,
+    corpus_config,
+    corpus_trace,
+    digest,
+    result_fingerprint,
+    run_record,
+    scaling_row,
+)
+from repro.system.simulator import Simulator
+from repro.telemetry.registry import TelemetryRegistry
+from repro.workloads.benchmarks import BENCHMARKS
 
 BENCH_CORE = Path(__file__).resolve().parents[2] / "BENCH_core.json"
+
+#: One cell per corpus config: benchmarks in Table 4 order, wrapping
+#: after the ninth, and seeds alternating.
+STRATIFIED = [
+    (list(BENCHMARKS)[i % len(BENCHMARKS)], name, i % 2)
+    for i, (name, _, _) in enumerate(CORPUS_CONFIGS)
+]
 
 
 @pytest.fixture(scope="module")
@@ -28,15 +48,28 @@ def committed():
     "config_name", ["4p-baseline", "4p-cgct", "8p-baseline", "8p-cgct"]
 )
 def test_fingerprint_matches_committed(committed, config_name):
-    suite = committed["suite"]
-    cell = measure_config(
-        config_name,
-        ops_per_processor=suite["ops_per_processor"],
-        workload=suite["workload"],
-        seed=suite["seed"],
-        warmup_fraction=suite["warmup_fraction"],
-        repeats=1,
-    )
-    assert cell["fingerprint"] == committed["configs"][config_name][
-        "fingerprint"
-    ]
+    assert committed["suite"] == SUITE
+    assert scaling_row(config_name) == committed["configs"][config_name]
+
+
+@pytest.mark.parametrize(
+    "cell", STRATIFIED, ids=[cell_name(*cell) for cell in STRATIFIED]
+)
+def test_corpus_cell_matches_committed(committed, cell):
+    # One run with telemetry attached checks both committed digests: the
+    # record digest was taken from the plain run, and generating the
+    # corpus requires the telemetry run's record to equal it. (The plain
+    # runs of every cell are in the full ``perf --check``.)
+    benchmark, config_name, seed = cell
+    registry = TelemetryRegistry(interval=CORPUS["telemetry_interval"])
+    simulator = Simulator(corpus_config(config_name), seed=seed,
+                          telemetry=registry)
+    result = simulator.run(
+        corpus_trace(benchmark, CORPUS["processors"],
+                     CORPUS["ops_per_processor"]),
+        warmup_fraction=CORPUS["warmup_fraction"])
+    assert {
+        "fingerprint": result_fingerprint(result),
+        "digest": digest(run_record(simulator, result)),
+        "telemetry_digest": digest(registry.to_dict()),
+    } == committed["corpus"]["cells"][cell_name(*cell)]

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.harness.perfbench import PERF_CONFIGS, bench_config
+from repro.harness.perfbench import PERF_CONFIGS, bench_config, run_record
 from repro.interconnect.topology import Topology
 from repro.system.simulator import Simulator
 from repro.telemetry.registry import TelemetryRegistry
@@ -37,31 +37,10 @@ def run_with(snoop, config, workload, seed=0, telemetry=False):
 
 
 def fingerprint(simulator, result, registry):
-    """Everything observable about one run, as a comparable value."""
-    machine = simulator.machine
-    fp = {
-        "per_processor_cycles": result.per_processor_cycles,
-        "per_processor_stalls": result.per_processor_stalls,
-        "per_processor_gaps": result.per_processor_gaps,
-        "stats": result.stats,
-        "broadcasts": result.broadcasts,
-        "l1_hits": result.l1_hits,
-        "l2_hits": result.l2_hits,
-        "l2_misses": result.l2_misses,
-        "demand_latency_mean": result.demand_latency_mean,
-        "bus_queue_cycles": result.bus_queue_cycles,
-        "rca_allocations": result.rca_allocations,
-        "rca_self_invalidations": result.rca_self_invalidations,
-        "request_paths": machine.request_paths,
-        "path_latency": {
-            key: (s.count, s.mean, s.minimum, s.maximum)
-            for key, s in machine.path_latency.items()
-        },
-        # The sharpest probe of the deferred accounting: per-node snoop
-        # counters must match the walk's live counts exactly.
-        "snoop_probes": [n.l2.snoop_probes for n in machine.nodes],
-        "snoop_hits": [n.l2.snoop_hits for n in machine.nodes],
-    }
+    """Everything observable about one run, as a comparable value: the
+    corpus's full run record — per-node snoop probes and hits included,
+    the sharpest probe of the deferred accounting — plus telemetry."""
+    fp = run_record(simulator, result)
     if registry is not None:
         fp["telemetry"] = registry.to_dict()
     return fp

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.harness.perfbench import run_record
 from repro.interconnect.topology import Topology
 from repro.obs.simtrace import SimTracer
 from repro.system.processor import TraceProcessor
@@ -59,26 +60,9 @@ def run_with(simulator_class, config, workload, seed=0, telemetry=False,
 
 
 def fingerprint(simulator, result, registry=None):
-    """Everything observable about one run, as a comparable dict."""
-    print_ = {
-        "per_processor_cycles": result.per_processor_cycles,
-        "per_processor_stalls": result.per_processor_stalls,
-        "per_processor_gaps": result.per_processor_gaps,
-        "stats": result.stats,
-        "broadcasts": result.broadcasts,
-        "l1_hits": result.l1_hits,
-        "l2_hits": result.l2_hits,
-        "l2_misses": result.l2_misses,
-        "demand_latency_mean": result.demand_latency_mean,
-        "bus_queue_cycles": result.bus_queue_cycles,
-        "rca_allocations": result.rca_allocations,
-        "rca_self_invalidations": result.rca_self_invalidations,
-        "request_paths": dict(simulator.machine.request_paths),
-        "path_latency": {
-            key: (s.count, s.mean, s.minimum, s.maximum)
-            for key, s in simulator.machine.path_latency.items()
-        },
-    }
+    """Everything observable about one run (the corpus's full run
+    record), plus telemetry, as a comparable dict."""
+    print_ = run_record(simulator, result)
     if registry is not None:
         print_["telemetry"] = registry.to_dict()
     return print_
