@@ -20,6 +20,7 @@ policy for the RCA can favor regions that contain no cached lines").
 
 from __future__ import annotations
 
+import gc
 from typing import Callable, Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.common.errors import ConfigurationError
@@ -44,7 +45,19 @@ class SetAssociativeArray(Generic[E]):
         self.num_sets = num_sets
         self.ways = ways
         self.name = name
-        self._sets: List[Dict[int, E]] = [{} for _ in range(num_sets)]
+        # A machine allocates tens of thousands of these empty dicts at
+        # once. Empty dicts are not tracked by the cyclic garbage
+        # collector, but each allocation still counts toward its
+        # threshold, so the burst would set off collections that walk
+        # the rest of the heap (in a sweep worker, its traces) and free
+        # nothing: the collector is off while they are made.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self._sets: List[Dict[int, E]] = [{} for _ in range(num_sets)]
+        finally:
+            if enabled:
+                gc.enable()
 
     # ------------------------------------------------------------------
     # Basic operations

@@ -493,16 +493,8 @@ def run_experiment(
     return EXPERIMENTS[experiment_id](options, cache)
 
 
-def _register_extensions() -> None:
-    """Pull in the beyond-the-paper experiments (late import: they need
-    ExperimentResult/RunOptions from this module)."""
-    from repro.harness import extensions as _ext
-
-    EXPERIMENTS["ablations"] = _ext.ablations
-    EXPERIMENTS["extensions"] = _ext.extensions
-    EXPERIMENTS["scaling"] = _ext.scaling
-    EXPERIMENTS["energy"] = _ext.energy
-    EXPERIMENTS["sectored"] = _ext.sectored
-
-
-_register_extensions()
+# The beyond-the-paper experiments register themselves at the end of
+# their module, which needs ExperimentResult/RunOptions from this one.
+# Imported last, so that whichever of the two modules a process imports
+# first, every importer sees the full registry.
+from repro.harness import extensions as _extensions  # noqa: E402,F401

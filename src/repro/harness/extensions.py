@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List
 
-from repro.harness.experiments import ExperimentResult, RunOptions
+from repro.harness.experiments import EXPERIMENTS, ExperimentResult, RunOptions
 from repro.harness.perfbench import _topology_for
 from repro.harness.runcache import RunCache
 from repro.system.config import SystemConfig
@@ -265,3 +265,10 @@ def sectored(options: RunOptions, cache: RunCache) -> ExperimentResult:
                "tracking without restructuring the cache. 'util' is the "
                "fraction of allocated sector lines actually valid."],
     )
+
+
+EXPERIMENTS["ablations"] = ablations
+EXPERIMENTS["extensions"] = extensions
+EXPERIMENTS["scaling"] = scaling
+EXPERIMENTS["energy"] = energy
+EXPERIMENTS["sectored"] = sectored

@@ -73,11 +73,13 @@ from repro.harness.supervisor import (
     SweepCheckpoint,
     TaskFailure,
 )
+from repro.rca.protocol import RegionProtocol
 from repro.system.config import SystemConfig
 from repro.system.simulator import RunResult, run_workload
-from repro.workloads.benchmarks import build_benchmark
+from repro.workloads.benchmarks import TRACE_PREFIX, build_benchmark
 from repro.workloads.store import WorkloadStore, active_store, \
     set_workload_store
+from repro.workloads.trace import MultiTrace
 
 
 def _peak_rss_kb() -> int:
@@ -141,15 +143,48 @@ class ExperimentTask:
         :class:`~repro.validate.sanitizer.CoherenceSanitizer`) audits
         the run; results are bit-identical with or without it.
         """
-        workload = build_benchmark(
-            self.benchmark,
-            num_processors=self.config.num_processors,
-            seed=self.trace_seed,
-            ops_per_processor=self.ops_per_processor,
+        workload = _recent_workload(
+            self.benchmark, self.config.num_processors, self.trace_seed,
+            self.ops_per_processor,
         )
         return run_workload(self.config, workload, seed=self.seed,
                             warmup_fraction=self.warmup_fraction,
                             sanitizer=sanitizer)
+
+
+#: Workloads this process built most recently, least recent first,
+#: keyed by ``(benchmark, processors, trace seed, ops)``. Every seed of
+#: a harness cell replays trace seed 0, so a worker's cells mostly share
+#: a few traces; reusing the trace object also reuses its replay-list
+#: views. Three entries hold the quick sweep's three benchmarks, so each
+#: worker builds each of them once. A full ``fig2 fig7 fig8`` sweep
+#: (72 cells, 9 traces, 2 workers) still reuses 27 traces: more entries
+#: reuse little more until nine, which reuse 54 but double a worker's
+#: peak RSS (see docs/performance.md, "Cold cells").
+_RECENT_WORKLOADS: Dict[Tuple[str, int, int, int], MultiTrace] = {}
+_RECENT_LIMIT = 3
+
+
+def _recent_workload(
+    benchmark: str, processors: int, trace_seed: int, ops: int
+) -> MultiTrace:
+    """:func:`build_benchmark`, reusing the process's recent workloads.
+
+    ``trace:`` workloads are always re-read: the file behind the name
+    may change between cells.
+    """
+    if benchmark.startswith(TRACE_PREFIX):
+        return build_benchmark(benchmark, num_processors=processors,
+                               seed=trace_seed, ops_per_processor=ops)
+    key = (benchmark, processors, trace_seed, ops)
+    workload = _RECENT_WORKLOADS.pop(key, None)
+    if workload is None:
+        if len(_RECENT_WORKLOADS) >= _RECENT_LIMIT:
+            del _RECENT_WORKLOADS[next(iter(_RECENT_WORKLOADS))]
+        workload = build_benchmark(benchmark, num_processors=processors,
+                                   seed=trace_seed, ops_per_processor=ops)
+    _RECENT_WORKLOADS[key] = workload
+    return workload
 
 
 def replicated_tasks(
@@ -522,6 +557,12 @@ class ParallelRunner:
         return outcomes
 
     def _run_pool(self, envelopes: List[_Envelope]) -> List[TaskOutcome]:
+        # Forked workers share this process's memory: tabulating the
+        # region protocols the cells use here saves each worker its own
+        # tabulation in its first cell.
+        for flags in {(e.task.config.two_bit_response,
+                       e.task.config.self_invalidation) for e in envelopes}:
+            RegionProtocol(*flags)
         breaker = CircuitBreaker(self.circuit_threshold)
         pool = SupervisedPool(
             self.workers, self.execute,

@@ -31,7 +31,7 @@ protocol variants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.coherence.line_states import LineState
 from repro.coherence.requests import RequestType
@@ -48,6 +48,11 @@ from repro.rca.states import ExternalPart, LocalPart, RegionState
 #: Local-letter significance: these leave the processor with a copy that
 #: is, or can silently become, modified — the region must report Dirty.
 _MODIFIABLE_FILLS = (LineState.MODIFIED, LineState.EXCLUSIVE)
+
+#: ``(response, external, local)`` tables per ``(two_bit,
+#: self_invalidation)``, tabulated on first use (see
+#: :meth:`RegionProtocol.__post_init__`).
+_TABLES: Dict[Tuple[bool, bool], Tuple[tuple, tuple, tuple]] = {}
 
 
 @dataclass(frozen=True)
@@ -80,62 +85,77 @@ class RegionProtocol:
     )
 
     def __post_init__(self) -> None:
-        # Transition tables over the finite input spaces. The transition
-        # functions are pure, so tabulating them is exact, and every
-        # input space is small enough to enumerate eagerly (the snoop
-        # response is one of four interned values, or None). The tables
-        # are flattened to dense ``state.index``/``request.index`` lists
-        # — the region snoop phase of every broadcast and every local
-        # fill reads them, and list indexing beats tuple-key hashing
-        # there. Error paths are never tabulated: a combination whose
-        # reference implementation raises is stored as ``None`` and
-        # re-dispatched to it on use, so it still raises.
-        # ``dataclasses.replace`` re-runs ``__init__`` and therefore
-        # rebuilds the tables (e.g. when telemetry swaps protocols).
-        response_table = []
-        for state in RegionState:
-            response_table.append((
-                self._response_for_uncached(state, 1),
-                self._response_for_uncached(state, 0),
-            ))
+        # The tables depend only on the two flags, so they are built once
+        # per process and shared by every instance — every node of every
+        # machine, and every ``dataclasses.replace`` copy (which re-runs
+        # ``__init__``, e.g. when telemetry swaps in a recording
+        # protocol). Nested tuples, so no holder can change what the
+        # others read.
+        key = (self.two_bit, self.self_invalidation)
+        tables = _TABLES.get(key)
+        if tables is None:
+            tables = _TABLES[key] = self._tabulate()
+        response_table, external_table, local_table = tables
         object.__setattr__(self, "_response_table", response_table)
-        external_table = []
-        for state in RegionState:
-            rows = []
-            for request in RequestType:
-                row = []
-                for fills_exclusive in (None, True, False):
-                    try:
-                        row.append(self._after_external_request(
-                            state, request, fills_exclusive
-                        ))
-                    except ProtocolError:
-                        row.append(None)
-                rows.append(tuple(row))
-            external_table.append(rows)
         object.__setattr__(self, "_external_table", external_table)
+        object.__setattr__(self, "_local_table", local_table)
+
+    def _tabulate(self) -> Tuple[tuple, tuple, tuple]:
+        """Transition tables over the finite input spaces.
+
+        The transition functions are pure, so tabulating them is exact,
+        and every input space is small enough to enumerate eagerly (the
+        snoop response is one of four interned values, or None). The
+        tables are dense ``state.index``/``request.index`` rows — the
+        region snoop phase of every broadcast and every local fill reads
+        them, and sequence indexing beats tuple-key hashing there. Error
+        paths are never tabulated: a combination whose reference
+        implementation raises is stored as ``None`` and re-dispatched to
+        it on use, so it still raises.
+        """
+        response_table = tuple(
+            (self._response_for_uncached(state, 1),
+             self._response_for_uncached(state, 0))
+            for state in RegionState
+        )
+        external_table = tuple(
+            tuple(
+                tuple(
+                    self._tabulated(self._after_external_request,
+                                    state, request, fills_exclusive)
+                    for fills_exclusive in (None, True, False)
+                )
+                for request in RequestType
+            )
+            for state in RegionState
+        )
         # Local-request transitions, indexed [state][request][fill_state]
         # [response] where the response slot is 0 for None and
         # ``1 + clean + 2*dirty`` for the four interned response values.
-        local_table = []
-        for state in RegionState:
-            rows = []
-            for request in RequestType:
-                fills = []
-                for fill_state in LineState:
-                    cell = []
-                    for response in (None, NO_COPIES, CLEAN_COPIES,
-                                     DIRTY_COPIES, CLEAN_AND_DIRTY_COPIES):
-                        try:
-                            cell.append(self._after_local_request(
-                                state, request, fill_state, response
-                            ))
-                        except ProtocolError:
-                            cell.append(None)
-                    fills.append(cell)
-                rows.append(fills)
-            local_table.append(rows)
-        object.__setattr__(self, "_local_table", local_table)
+        local_table = tuple(
+            tuple(
+                tuple(
+                    tuple(
+                        self._tabulated(self._after_local_request,
+                                        state, request, fill_state, response)
+                        for response in (None, NO_COPIES, CLEAN_COPIES,
+                                         DIRTY_COPIES, CLEAN_AND_DIRTY_COPIES)
+                    )
+                    for fill_state in LineState
+                )
+                for request in RequestType
+            )
+            for state in RegionState
+        )
+        return response_table, external_table, local_table
+
+    @staticmethod
+    def _tabulated(transition, *args) -> Optional[RegionState]:
+        """One table cell: the reference result, or ``None`` if it raises."""
+        try:
+            return transition(*args)
+        except ProtocolError:
+            return None
 
     # ------------------------------------------------------------------
     # Local requests (Figures 3 and 4)
@@ -366,7 +386,7 @@ class RegionProtocol:
     def _response_for_uncached(
         self, state: RegionState, line_count: int
     ) -> "RegionProbeOutcome":
-        """Reference implementation backing the per-instance cache."""
+        """Reference implementation behind the tabulated responses."""
         if state is RegionState.INVALID:
             return RegionProbeOutcome(NO_COPIES, self_invalidate=False)
         if line_count == 0 and self.self_invalidation:
@@ -386,3 +406,4 @@ class RegionProbeOutcome:
 
     response: RegionSnoopResponse
     self_invalidate: bool
+

@@ -56,6 +56,15 @@ LINE = 64
 PAGE = 4096
 LINES_PER_PAGE = PAGE // LINE
 
+#: Record opcodes as plain ints, and the op sequences one access emits.
+_LOAD = int(TraceOp.LOAD)
+_STORE = int(TraceOp.STORE)
+_DCBZ = int(TraceOp.DCBZ)
+_LOAD_ONLY = (_LOAD,)
+_STORE_ONLY = (_STORE,)
+_LOAD_STORE = (_LOAD, _STORE)
+_IFETCH_ONLY = (int(TraceOp.IFETCH),)
+
 #: Fibonacci-hash multiplier for virtual→physical page placement.
 _PAGE_HASH_MULTIPLIER = 0x9E3779B97F4A7C15
 _U64 = (1 << 64) - 1
@@ -78,6 +87,18 @@ def physical_address(virtual: int) -> int:
     vpage = virtual >> 12
     phys_page = ((vpage * _PAGE_HASH_MULTIPLIER) & _U64) >> (64 - _PHYS_PAGE_BITS)
     return (phys_page << 12) | (virtual & (PAGE - 1))
+
+
+def physical_addresses(virtual: np.ndarray) -> np.ndarray:
+    """:func:`physical_address` over a ``uint64`` array, in one pass.
+
+    uint64 multiplication wraps modulo 2**64, which is exactly the
+    scalar version's ``& _U64``.
+    """
+    vpage = virtual >> np.uint64(12)
+    phys_page = (vpage * np.uint64(_PAGE_HASH_MULTIPLIER)) \
+        >> np.uint64(64 - _PHYS_PAGE_BITS)
+    return (phys_page << np.uint64(12)) | (virtual & np.uint64(PAGE - 1))
 
 
 @dataclass(frozen=True)
@@ -310,7 +331,8 @@ class _ProcessorStream:
         self._truncate(n_ops)
         return Trace(
             ops=np.array(self.ops, dtype=np.uint8),
-            addresses=np.array(self.addresses, dtype=np.uint64),
+            addresses=physical_addresses(
+                np.array(self.addresses, dtype=np.uint64)),
             gaps=np.array(self.gaps, dtype=np.uint32),
             name=f"{self.profile.name}.p{self.proc}",
         )
@@ -418,25 +440,23 @@ class _ProcessorStream:
         if profile.code_private:
             code_base += (self.proc + 1) * 0x1000_0000
         base = code_base + index * profile.chunk_bytes
-        run = self._run_length(profile.code_run_lines)
-        start = self.rng.randrange(self.lines_per_chunk)
-        for i in range(run):
-            line_offset = (start + i) % self.lines_per_chunk
-            address = base + line_offset * LINE
-            for _ in range(self._run_length(profile.code_repeat_mean)):
-                self._emit(TraceOp.IFETCH, address, mean_gap)
+        self._line_run(base, self.lines_per_chunk, profile.code_run_lines,
+                       profile.code_repeat_mean, None, mean_gap)
 
     def _page_zero_episode(self, mean_gap: float) -> None:
         """AIX-style allocation: DCBZ a fresh page, then store into it."""
         page_base = self.fresh_base + 0x2000_0000 + self.fresh_cursor * PAGE
         self.fresh_cursor += 1
+        rng = self.rng
+        random = rng.random
+        emit = self._emit
         for i in range(LINES_PER_PAGE):
-            self._emit(TraceOp.DCBZ, page_base + i * LINE, 1.0)
-        uses = self.rng.randrange(4, 12)
+            emit(_DCBZ, page_base + i * LINE, 1.0)
+        uses = rng.randrange(4, 12)
         for _ in range(uses):
-            offset = self.rng.randrange(LINES_PER_PAGE) * LINE
-            op = TraceOp.STORE if self.rng.random() < 0.7 else TraceOp.LOAD
-            self._emit(op, page_base + offset, mean_gap)
+            offset = rng.randrange(LINES_PER_PAGE) * LINE
+            op = _STORE if random() < 0.7 else _LOAD
+            emit(op, page_base + offset, mean_gap)
 
     # ------------------------------------------------------------------
     # Low-level emission
@@ -448,21 +468,64 @@ class _ProcessorStream:
         mean_gap: float,
         lines_per_chunk: int = 0,
     ) -> None:
-        lines_per_chunk = lines_per_chunk or self.lines_per_chunk
-        run = self._run_length(self.profile.mean_run_lines)
+        profile = self.profile
+        self._line_run(chunk_base, lines_per_chunk or self.lines_per_chunk,
+                       profile.mean_run_lines, profile.line_repeat_mean,
+                       store_fraction, mean_gap)
+
+    def _line_run(
+        self,
+        chunk_base: int,
+        lines_per_chunk: int,
+        run_mean: float,
+        repeat_mean: float,
+        store_fraction: Optional[float],
+        mean_gap: float,
+    ) -> None:
+        """A spatial run of lines, each accessed a geometric number of times.
+
+        ``store_fraction`` ``None`` makes every access an instruction
+        fetch; otherwise each access is a store with that probability,
+        and the first access of a line that stores is preceded by a load
+        60 % of the time (read-modify-write realism). This is the hot
+        loop of generation, so the geometric draws of the run length,
+        the per-line repeat count and every gap are written out inline,
+        in the exact draw order of :meth:`_run_length` and :meth:`_gap`.
+        """
+        random = self.rng.random
+        append_op = self.ops.append
+        append_address = self.addresses.append
+        append_gap = self.gaps.append
+        run = self._run_length(run_mean)
         start = self.rng.randrange(lines_per_chunk)
+        repeat_p = 1.0 / repeat_mean if repeat_mean > 1.0 else 0.0
+        repeat_cap = 4 * repeat_mean
+        gap_p = 1.0 / (mean_gap + 1.0) if mean_gap > 0 else 0.0
+        gap_cap = 10 * mean_gap
         for i in range(run):
-            line_offset = (start + i) % lines_per_chunk
-            address = chunk_base + line_offset * LINE
-            # Several word-granular accesses land on each touched line;
-            # the first is a load for read-modify-write realism.
-            accesses = self._run_length(self.profile.line_repeat_mean)
+            address = chunk_base + ((start + i) % lines_per_chunk) * LINE
+            accesses = 1
+            if repeat_p:
+                while random() > repeat_p:
+                    accesses += 1
+                    if accesses >= repeat_cap:
+                        break
             for access in range(accesses):
-                store = self.rng.random() < store_fraction
-                if access == 0 and store and self.rng.random() < 0.6:
-                    self._emit(TraceOp.LOAD, address, mean_gap)
-                op = TraceOp.STORE if store else TraceOp.LOAD
-                self._emit(op, address, mean_gap)
+                if store_fraction is None:
+                    ops = _IFETCH_ONLY
+                elif random() < store_fraction:
+                    ops = (_LOAD_STORE if access == 0 and random() < 0.6
+                           else _STORE_ONLY)
+                else:
+                    ops = _LOAD_ONLY
+                for op in ops:
+                    append_op(op)
+                    append_address(address)
+                    gap = 0
+                    if gap_p:
+                        while random() > gap_p and gap < gap_cap:
+                            gap += 1
+                    append_gap(gap)
 
     def _pool_index(self, pool_size: int) -> int:
         """Pick a chunk index, steering ``hot_fraction`` to a hot subset."""
@@ -473,7 +536,11 @@ class _ProcessorStream:
         return self.rng.randrange(pool_size)
 
     def _run_length(self, mean: float) -> int:
-        """Geometric run length with the given mean, at least one line."""
+        """Geometric run length with the given mean, at least one line.
+
+        :meth:`_line_run` draws each line's repeat count with an inline
+        copy of this loop: a change here must be made there too.
+        """
         if mean <= 1.0:
             return 1
         p = 1.0 / mean
@@ -484,12 +551,15 @@ class _ProcessorStream:
                 break
         return length
 
-    def _emit(self, op: TraceOp, address: int, mean_gap: float) -> None:
-        self.ops.append(int(op))
-        self.addresses.append(physical_address(address))
+    def _emit(self, op: int, address: int, mean_gap: float) -> None:
+        """Append one record; ``address`` is virtual until :meth:`generate`."""
+        self.ops.append(op)
+        self.addresses.append(address)
         self.gaps.append(self._gap(mean_gap))
 
     def _gap(self, mean_gap: float) -> int:
+        # :meth:`_line_run` draws each record's gap with an inline copy
+        # of this loop: a change here must be made there too.
         if mean_gap <= 0:
             return 0
         # Geometric with the requested mean: bursty like real code.

@@ -1,5 +1,7 @@
 """Generic set-associative array with preference-aware LRU."""
 
+import gc
+
 import pytest
 
 from repro.cache.setassoc import SetAssociativeArray
@@ -118,3 +120,25 @@ class TestValidation:
     def test_zero_ways_rejected(self):
         with pytest.raises(ConfigurationError):
             SetAssociativeArray(num_sets=4, ways=0)
+
+
+class TestConstruction:
+    """The per-set dicts are made with the cyclic collector paused."""
+
+    def test_collector_stays_enabled(self):
+        assert gc.isenabled()
+        SetAssociativeArray(num_sets=4096, ways=2)
+        assert gc.isenabled()
+
+    def test_a_paused_collector_stays_paused(self):
+        gc.disable()
+        try:
+            SetAssociativeArray(num_sets=4096, ways=2)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_sets_are_distinct_empty_dicts(self):
+        array = SetAssociativeArray(num_sets=8, ways=2)
+        assert all(entries == {} for entries in array._sets)
+        assert len({id(entries) for entries in array._sets}) == 8

@@ -7,6 +7,7 @@ unless the test is about prefetching — keeping every assertion exact.
 
 from __future__ import annotations
 
+import time
 from dataclasses import replace
 
 import pytest
@@ -80,3 +81,21 @@ def loads(addresses, gap: int = 0):
 
 def stores(addresses, gap: int = 0):
     return [(TraceOp.STORE, a, gap) for a in addresses]
+
+
+def interleaved_best_of(rounds: int, plain, instrumented):
+    """Best-of-*rounds* wall times ``(plain, instrumented)``, interleaved.
+
+    Each round times both callables, alternating which goes first, so a
+    drift in host speed during the measurement (another process
+    starting, a frequency change) lands on both sides instead of on
+    whichever was timed last.
+    """
+    fns = (plain, instrumented)
+    best = [float("inf"), float("inf")]
+    for r in range(rounds):
+        for side in ((0, 1) if r % 2 == 0 else (1, 0)):
+            start = time.perf_counter()
+            fns[side]()
+            best[side] = min(best[side], time.perf_counter() - start)
+    return best[0], best[1]

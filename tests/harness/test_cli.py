@@ -57,12 +57,14 @@ def test_validate_subcommand_clean_matrix(capsys, tmp_path, monkeypatch):
 
 def test_validate_subcommand_catches_mutation(capsys, tmp_path,
                                               monkeypatch):
+    from repro.rca import protocol
     from repro.rca.protocol import RegionProtocol
 
     monkeypatch.setattr(
         RegionProtocol, "_after_external_request",
         lambda self, state, request, fills=None: state,
     )
+    monkeypatch.setattr(protocol, "_TABLES", {})
     assert main(["validate", "--benchmarks", "barnes",
                  "--configs", "4p-cgct", "--ops", "1500",
                  "--mode", "sampled",

@@ -1,5 +1,10 @@
 """Unit-level checks on the beyond-the-paper experiment helpers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.harness.extensions import (
@@ -9,6 +14,8 @@ from repro.harness.extensions import (
 )
 from repro.harness.experiments import RunOptions, run_experiment
 from repro.harness.runcache import RunCache, config_key
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestAblationConfigs:
@@ -119,3 +126,22 @@ class TestScalingThroughCache:
         again = run_experiment("scaling", options, cache)
         assert len(cache) == runs_after_first
         assert again.rows == result.rows
+
+
+@pytest.mark.parametrize("first", ["repro.harness.extensions",
+                                   "repro.harness.experiments"])
+def test_registry_is_complete_whichever_module_is_imported_first(first):
+    # Each module imports the other; a fresh interpreter is the only
+    # place the import order is not already settled by earlier tests.
+    script = (
+        f"import {first}\n"
+        "from repro.harness.experiments import EXPERIMENTS\n"
+        "print(' '.join(EXPERIMENTS))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    fresh = subprocess.run([sys.executable, "-c", script], env=env,
+                           capture_output=True, text=True, check=True)
+    names = fresh.stdout.split()
+    assert names[-5:] == ["ablations", "extensions", "scaling", "energy",
+                          "sectored"]
+    assert "fig2" in names

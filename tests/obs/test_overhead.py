@@ -6,26 +6,16 @@ code at ≤1.05x, recorded in docs/tracing.md — and bounded bookkeeping
 when one is (sampled capture within 1.5x). The disabled case cannot be
 re-measured here (the hook-free code no longer exists in the tree), so
 these guards cover the enabled modes. Like the telemetry guard next
-door, they compare best-of-three wall times with a generous multiplier
-plus an absolute slack so timer noise on loaded CI machines cannot
-flake them.
+door, they compare best-of-three wall times, plain and traced runs
+interleaved, with a generous multiplier plus an absolute slack so timer
+noise on loaded CI machines cannot flake them.
 """
-
-import time
 
 from repro.obs.simtrace import SimTracer
 from repro.system.config import SystemConfig
 from repro.system.simulator import run_workload
 from repro.workloads.benchmarks import build_benchmark
-
-
-def best_of(n, fn) -> float:
-    best = float("inf")
-    for _ in range(n):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+from tests.conftest import interleaved_best_of
 
 
 def _setup():
@@ -48,8 +38,7 @@ def test_sampled_tracer_overhead_within_guard():
                      tracer=SimTracer(sample=16))
 
     plain()
-    off = best_of(3, plain)
-    on = best_of(3, sampled)
+    off, on = interleaved_best_of(3, plain, sampled)
     assert on <= off * 1.5 + 0.05, (
         f"sampled tracing overhead too high: {on:.3f}s vs {off:.3f}s "
         f"({on / off:.2f}x)"
@@ -71,8 +60,7 @@ def test_ring_capture_is_bounded_and_within_guard():
                      tracer=tracer)
 
     plain()
-    off = best_of(3, plain)
-    on = best_of(3, flight)
+    off, on = interleaved_best_of(3, plain, flight)
     # The flight recorder is default-on in the sanitizer, so its cost
     # matters even though it captures everything: the ring bounds memory,
     # not work. Hold it to the same guard as full telemetry.

@@ -2,26 +2,17 @@
 
 The cost contract (see docs/telemetry.md) is one ``is None`` check per
 instrumented site when telemetry is off, and bounded bookkeeping when it
-is on. This guard compares best-of-three wall times and fails if the
-instrumented run exceeds 1.5x the plain run plus a small absolute slack
-that absorbs timer noise on loaded CI machines.
+is on. This guard compares best-of-three wall times, plain and
+instrumented runs interleaved, and fails if the instrumented run exceeds
+1.5x the plain run plus a small absolute slack that absorbs timer noise
+on loaded CI machines.
 """
-
-import time
 
 from repro.system.config import SystemConfig
 from repro.system.simulator import run_workload
 from repro.telemetry.registry import TelemetryRegistry
 from repro.workloads.benchmarks import build_benchmark
-
-
-def best_of(n, fn) -> float:
-    best = float("inf")
-    for _ in range(n):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+from tests.conftest import interleaved_best_of
 
 
 def test_telemetry_overhead_within_guard():
@@ -41,8 +32,7 @@ def test_telemetry_overhead_within_guard():
         )
 
     plain()  # warm code paths and trace caches before timing
-    off = best_of(3, plain)
-    on = best_of(3, instrumented)
+    off, on = interleaved_best_of(3, plain, instrumented)
     assert on <= off * 1.5 + 0.05, (
         f"telemetry overhead too high: {on:.3f}s vs {off:.3f}s "
         f"({on / off:.2f}x)"
@@ -66,8 +56,7 @@ def test_disabled_registry_overhead_is_negligible():
         )
 
     plain()
-    off = best_of(3, plain)
-    on = best_of(3, disabled)
+    off, on = interleaved_best_of(3, plain, disabled)
     # A disabled registry hands out no-op singletons; allow the same
     # guard (the attach itself costs nothing measurable).
     assert on <= off * 1.5 + 0.05

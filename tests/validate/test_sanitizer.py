@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.common.errors import ConfigurationError, InvariantViolation
+from repro.rca import protocol as protocol_module
 from repro.rca.protocol import RegionProtocol
 from repro.system.config import SystemConfig
 from repro.system.simulator import run_workload
@@ -66,16 +67,22 @@ class TestConfiguration:
             CoherenceSanitizer().check(now=0)
 
 
+def skip_external_transitions(monkeypatch):
+    # The bug: external broadcasts never downgrade our region state
+    # (Table 1's external-part transitions are skipped), so trackers
+    # keep claiming exclusivity the rest of the machine has lost. The
+    # emptied table cache makes the protocol tabulate the patched code.
+    monkeypatch.setattr(
+        RegionProtocol, "_after_external_request",
+        lambda self, state, request, fills=None: state,
+    )
+    monkeypatch.setattr(protocol_module, "_TABLES", {})
+
+
 class TestMutationDetection:
     def test_skipped_broadcast_decision_is_caught(self, tmp_path,
                                                   monkeypatch):
-        # The bug: external broadcasts never downgrade our region state
-        # (Table 1's external-part transitions are skipped), so trackers
-        # keep claiming exclusivity the rest of the machine has lost.
-        monkeypatch.setattr(
-            RegionProtocol, "_after_external_request",
-            lambda self, state, request, fills=None: state,
-        )
+        skip_external_transitions(monkeypatch)
         sanitizer = CoherenceSanitizer(mode="sampled",
                                        bundle_dir=str(tmp_path))
         with pytest.raises(InvariantViolation) as excinfo:
@@ -86,10 +93,7 @@ class TestMutationDetection:
         assert exc.bundle_path is not None
 
     def test_bundle_contents_are_actionable(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            RegionProtocol, "_after_external_request",
-            lambda self, state, request, fills=None: state,
-        )
+        skip_external_transitions(monkeypatch)
         sanitizer = CoherenceSanitizer(mode="deep",
                                        bundle_dir=str(tmp_path))
         with pytest.raises(InvariantViolation) as excinfo:

@@ -12,6 +12,7 @@ from repro.workloads.generator import (
     SyntheticWorkload,
     WorkloadProfile,
     physical_address,
+    physical_addresses,
 )
 from repro.workloads.trace import TraceOp
 
@@ -54,6 +55,19 @@ class TestPhysicalAddressTranslation:
             (physical_address(i << 12) >> 6) & 8191 for i in range(1000)
         }
         assert len(groups) > 100  # of the 128 possible page-start groups
+
+
+    def test_array_form_matches_scalar_form(self):
+        rng = np.random.default_rng(7)
+        virtual = np.concatenate([
+            rng.integers(0, 1 << 40, 2000, dtype=np.uint64),
+            np.array([0, 0xFFF, 0x1000, 0x7F_FFFF_FFFF, (1 << 52) - 1],
+                     dtype=np.uint64),
+        ])
+        physical = physical_addresses(virtual)
+        assert physical.dtype == np.uint64
+        assert physical.tolist() == [
+            physical_address(v) for v in virtual.tolist()]
 
 
 class TestDeterminism:
