@@ -14,7 +14,7 @@ import time
 
 from repro import SystemConfig, benchmark_names
 from repro.harness.cache import DiskCache
-from repro.harness.parallel import ExperimentTask, ParallelRunner
+from repro.harness.parallel import ExperimentTask
 from repro.harness.runcache import RunCache
 from repro.harness.runlog import RunLog
 from repro.system.machine import OracleCategory
@@ -50,11 +50,8 @@ def main():
         for name in names for config in (base_cfg, cgct_cfg)
     ]
     t0 = time.time()
-    runner = ParallelRunner(workers=args.workers, cache=disk, runlog=runlog)
     try:
-        for task, result in zip(tasks, runner.run(tasks)):
-            cache.preload(task.benchmark, task.config, task.ops_per_processor,
-                          result, warmup_fraction=WARMUP)
+        cache.warm(tasks, workers=args.workers, runlog=runlog)
     finally:
         if runlog is not None:
             runlog.close()

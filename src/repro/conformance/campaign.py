@@ -4,16 +4,22 @@ One campaign *iteration* is one trace id: the fuzzer builds an
 adversarial workload per machine size (4/8/16 processors), and each is
 replayed on its baseline and CGCT configuration — all six canonical
 machine points — with the sanitizer attached and telemetry alternating
-on/off by trace-id parity. Iterations are independent, so they fan out
+on/off by trace-id parity. Iterations are independent, so they run
 through the :class:`~repro.harness.supervisor.SupervisedPool` exactly
-like experiment cells: per-task timeouts, crash requeue, checkpointed
-completion (``--checkpoint``), and one JSON-lines run-log record per
-iteration.
+like experiment cells — in this process at ``workers <= 1``, forked
+otherwise — with per-task timeouts, checkpointed completion
+(``--checkpoint``), and one JSON-lines run-log record per iteration.
+The time budget is checked between batches of ``4 × workers``
+iterations (one at a time in this process).
 
-Failures are collected rather than fatal: the campaign finishes its
-budget, shrinks each distinct failure to a minimal reproducer (when
-``shrink=True``) and writes the diagnostics bundle + corpus file pair
-via :mod:`repro.conformance.shrink`.
+Failures are collected rather than fatal. An iteration that raises or
+kills its worker is judged by the pool's one retry rule
+(:meth:`~repro.harness.supervisor.RetryPolicy.retry_delay`): a
+deterministic failure gives up at once, a transient one retries once.
+An iteration that gives up counts as one ``harness error`` failure. The
+campaign finishes its budget, shrinks each distinct failure to a
+minimal reproducer (when ``shrink=True``) and writes the diagnostics
+bundle + corpus file pair via :mod:`repro.conformance.shrink`.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.conformance.differential import DifferentialOutcome, run_differential
 from repro.conformance.fuzz import fuzz_trace
 from repro.conformance.shrink import shrink_trace, write_reproducer
+from repro.harness.supervisor import RetryPolicy, SupervisedPool
 
 #: How many distinct failing (trace, config) cells are shrunk per
 #: campaign — shrinking is serial and a broken protocol fails almost
@@ -203,52 +210,40 @@ def run_campaign(
                 for mismatch in outcome.mismatches[:3]:
                     progress(f"     {mismatch}")
 
+    policy = RetryPolicy()
+    attempts: Dict[int, int] = {}
+
     def handle_failure(task: IterationTask, failure) -> Optional[float]:
-        if failure.kind == "exception":
-            # The harness itself broke on this iteration — surface it as
-            # a failure rather than retrying a deterministic error.
-            broken = DifferentialOutcome(
-                workload=f"fuzz-{task.index}", config_name="*",
-                seed=seed, telemetry=task.telemetry,
-            )
-            broken.mismatches.append(f"harness error: {failure.describe()}")
-            result.iterations += 1
-            result.failures.append(broken)
-            if progress is not None:
-                progress(f"FAIL {broken.describe()}")
-            return None
-        return 0.0  # crash/timeout: requeue (the breaker bounds this)
+        attempt = attempts.get(task.index, 1)
+        delay = policy.retry_delay(failure, attempt, retries=1,
+                                   key=task.index)
+        if delay is not None:
+            attempts[task.index] = attempt + 1
+            return delay
+        # The harness itself broke on this iteration (it raised, hung or
+        # killed its worker): surface it as a failure.
+        broken = DifferentialOutcome(
+            workload=f"fuzz-{task.index}", config_name="*",
+            seed=seed, telemetry=task.telemetry,
+        )
+        broken.mismatches.append(f"harness error: {failure.describe()}")
+        result.iterations += 1
+        result.failures.append(broken)
+        if progress is not None:
+            progress(f"FAIL {broken.describe()}")
+        return None
 
     pending = [t for t in tasks if t.index not in completed]
     result.iterations += len(tasks) - len(pending)
-
-    if workers and workers > 1:
-        from repro.harness.supervisor import SupervisedPool
-
-        batch_size = max(4 * workers, 16)
-        cursor = 0
-        while cursor < len(pending):
-            if out_of_budget():
-                result.stopped_by_budget = True
-                break
-            batch = pending[cursor:cursor + batch_size]
-            cursor += len(batch)
-            pool = SupervisedPool(
-                workers=workers, execute=_execute_task,
-                task_timeout=task_timeout,
-            )
-            _, unfinished = pool.run(
-                batch, on_outcome=absorb, on_failure=handle_failure,
-            )
-            for task in unfinished:
-                # Breaker tripped: finish the stragglers serially.
-                absorb(task, _execute_task(task))
-    else:
-        for task in pending:
-            if out_of_budget():
-                result.stopped_by_budget = True
-                break
-            absorb(task, _execute_task(task))
+    pool = SupervisedPool(workers=workers, execute=_execute_task,
+                          task_timeout=task_timeout)
+    batch_size = max(1, 4 * workers)
+    for start in range(0, len(pending), batch_size):
+        if out_of_budget():
+            result.stopped_by_budget = True
+            break
+        pool.run(pending[start:start + batch_size], on_outcome=absorb,
+                 on_failure=handle_failure)
 
     if shrink and result.failures:
         _shrink_failures(result, seed, ops, names, bundle_dir, progress)

@@ -486,16 +486,11 @@ def main(argv=None) -> int:
 
     wanted = list(EXPERIMENTS) if "all" in args.experiments else args.experiments
     disk = None if args.no_cache else DiskCache(args.cache_dir)
-    cache = RunCache(disk=disk)
+    cache = RunCache(disk=disk, check_invariants=args.check_invariants)
     if args.workload_cache:
         from repro.workloads.store import WorkloadStore, set_workload_store
 
         set_workload_store(WorkloadStore(args.workload_cache))
-    if args.check_invariants:
-        from repro.validate.sanitizer import CoherenceSanitizer
-
-        mode = args.check_invariants
-        cache.sanitizer_factory = lambda: CoherenceSanitizer(mode=mode)
     profiler = None
     if args.telemetry:
         from repro.telemetry import Profiler, TelemetryRegistry
@@ -514,14 +509,12 @@ def main(argv=None) -> int:
 
         checkpoint = SweepCheckpoint(args.checkpoint)
     try:
-        if (args.workers > 1 or runlog is not None
-                or checkpoint is not None) and not args.telemetry:
+        if not args.telemetry:
             # Execute the whole grid up-front (in parallel when asked);
             # the per-experiment rendering below then runs from cache.
             warm_cache(wanted, options, cache, workers=args.workers,
                        runlog=runlog, task_timeout=args.task_timeout,
-                       checkpoint=checkpoint,
-                       check_invariants=args.check_invariants)
+                       checkpoint=checkpoint)
         results = []
         for experiment_id in wanted:
             started = time.time()

@@ -468,11 +468,14 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one registered experiment and return its result.
 
-    ``workers > 1`` fans the experiment's simulation grid out across
-    that many worker processes first (see :mod:`repro.harness.parallel`)
-    and then renders from the warmed cache; results are bit-identical to
-    the serial path. ``runlog`` (a :class:`~repro.harness.runlog.RunLog`)
-    records per-cell observability either way.
+    The experiment's simulation grid runs up-front through
+    :func:`~repro.harness.parallel.warm_cache` — across ``workers``
+    worker processes when ``workers > 1``, in this process otherwise —
+    and the experiment then renders from the warmed cache; results are
+    bit-identical either way. ``runlog`` (a
+    :class:`~repro.harness.runlog.RunLog`) records per-cell
+    observability. A cache with a ``telemetry_factory`` skips the
+    warm-up, so every simulation runs where its registry can be kept.
     """
     if experiment_id not in EXPERIMENTS:
         raise KeyError(
@@ -485,7 +488,7 @@ def run_experiment(
         options = RunOptions()
     if cache is None:
         cache = RunCache()
-    if workers > 1 or runlog is not None:
+    if cache.telemetry_factory is None:
         from repro.harness.parallel import warm_cache
 
         warm_cache([experiment_id], options, cache, workers=workers,

@@ -1,17 +1,21 @@
-"""Parallel experiment execution.
+"""Experiment cells and the runner that executes grids of them.
 
 The paper's evaluation is a grid of (benchmark × region size × RCA size
-× protocol variant) simulations, each independent of the others. This
-module fans that grid out across worker processes:
+× protocol variant) simulations, each independent of the others:
 
 * :class:`ExperimentTask` — one fully-specified simulation cell
   (benchmark, configuration, trace length, seeds, warm-up). Tasks are
-  frozen and hashable, so grids de-duplicate naturally.
+  frozen and hashable, so grids de-duplicate naturally, and they are
+  the one cell identity: :class:`~repro.harness.runcache.RunCache`
+  memoises by them and the on-disk result cache addresses them.
+* :func:`load_or_simulate` — the one cell executor: the result store's
+  entry, or a fresh simulation that is then stored. Pool workers (via
+  :func:`execute_envelope`) and ``RunCache`` misses both use it.
 * :class:`ParallelRunner` — executes a task list through a
-  :class:`~repro.harness.supervisor.SupervisedPool` (or serially with
-  ``workers <= 1``, the determinism oracle), consulting an optional
-  :class:`DiskCache` and appending per-cell records to an optional
-  :class:`RunLog`.
+  :class:`~repro.harness.supervisor.SupervisedPool` (in this process
+  with ``workers <= 1``, the determinism oracle), consulting an
+  optional :class:`DiskCache` and appending per-cell records to an
+  optional :class:`RunLog`.
 * :func:`experiment_tasks` / :func:`warm_cache` — enumerate every
   simulation the registered paper experiments will request and run them
   up-front, preloading a :class:`RunCache` so the experiment functions
@@ -19,14 +23,15 @@ module fans that grid out across worker processes:
 
 Fault tolerance
 ---------------
-Failures route through the taxonomy in :mod:`repro.common.errors`:
+Failures route through the taxonomy in :mod:`repro.common.errors` and
+the pool's one retry rule
+(:meth:`~repro.harness.supervisor.RetryPolicy.retry_delay`):
 *transient* failures (worker death, hang past the per-task timeout, OS
-pressure) are retried up to ``retries`` times with the
-:class:`~repro.harness.supervisor.RetryPolicy`'s exponential backoff,
-while *deterministic* failures (simulation bugs — guaranteed to recur on
-the bit-identical rerun) are quarantined immediately and never retried.
-Repeated pool-level faults trip the circuit breaker, after which the
-remaining cells degrade gracefully to serial in-process execution. An
+pressure) are retried up to ``retries`` times with exponential
+backoff, while *deterministic* failures (simulation bugs — guaranteed
+to recur on the bit-identical rerun) are quarantined immediately and
+never retried. Repeated pool-level faults trip the circuit breaker,
+after which the pool drains the remaining cells in this process. An
 optional :class:`~repro.harness.supervisor.SweepCheckpoint` records
 per-cell completion so an interrupted sweep resumes from the result
 cache, bit-identical to an uninterrupted run.
@@ -51,8 +56,8 @@ from __future__ import annotations
 
 import os
 import time
-import traceback
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 try:  # Unix-only; peak-RSS reporting degrades to 0 elsewhere.
@@ -60,11 +65,10 @@ try:  # Unix-only; peak-RSS reporting degrades to 0 elsewhere.
 except ImportError:  # pragma: no cover
     resource = None
 
-from repro.common.errors import FailureClass, SimulationError, classify_failure
+from repro.common.errors import FailureClass, SimulationError
 from repro.common.rng import derive_seed
 from repro.harness.cache import DiskCache, cache_key, code_version, \
     config_fingerprint
-from repro.harness.runcache import RunCache
 from repro.harness.runlog import RunLog
 from repro.harness.supervisor import (
     CircuitBreaker,
@@ -102,12 +106,21 @@ class ExperimentTask:
     trace_seed: int = 0
     warmup_fraction: float = 0.4
 
+    @cached_property
+    def fingerprint(self) -> str:
+        """:func:`config_fingerprint` of this cell's configuration.
+
+        Computed once per task (it costs about 0.25 ms): a
+        :class:`RunCache` hashes a task on every lookup.
+        """
+        return config_fingerprint(self.config)
+
     def __hash__(self) -> int:
         # SystemConfig nests dict-valued fields (latency tables), so the
         # generated field-tuple hash would fail; hash the fingerprint
         # instead. Equality stays the generated field-by-field compare.
         return hash((
-            self.benchmark, config_fingerprint(self.config),
+            self.benchmark, self.fingerprint,
             self.ops_per_processor, self.seed, self.trace_seed,
             self.warmup_fraction,
         ))
@@ -133,34 +146,39 @@ class ExperimentTask:
             "region_bytes": config.geometry.region_bytes,
             "rca_sets": config.rca_sets,
             "processors": config.num_processors,
-            "config": config_fingerprint(config),
+            "config": self.fingerprint,
         }
 
-    def execute(self, sanitizer=None) -> RunResult:
+    def trace_key(self) -> Tuple[str, int, int, int]:
+        """The key of the workload this cell replays (see
+        :func:`_recent_workload`)."""
+        return (self.benchmark, self.config.num_processors, self.trace_seed,
+                self.ops_per_processor)
+
+    def execute(self, sanitizer=None, telemetry=None) -> RunResult:
         """Build the trace and run the simulation for this cell.
 
         ``sanitizer`` (a
         :class:`~repro.validate.sanitizer.CoherenceSanitizer`) audits
-        the run; results are bit-identical with or without it.
+        the run and ``telemetry`` (a
+        :class:`~repro.telemetry.registry.TelemetryRegistry`) records
+        it; results are bit-identical with or without either.
         """
-        workload = _recent_workload(
-            self.benchmark, self.config.num_processors, self.trace_seed,
-            self.ops_per_processor,
-        )
+        workload = _recent_workload(*self.trace_key())
         return run_workload(self.config, workload, seed=self.seed,
                             warmup_fraction=self.warmup_fraction,
-                            sanitizer=sanitizer)
+                            telemetry=telemetry, sanitizer=sanitizer)
 
 
 #: Workloads this process built most recently, least recent first,
-#: keyed by ``(benchmark, processors, trace seed, ops)``. Every seed of
-#: a harness cell replays trace seed 0, so a worker's cells mostly share
-#: a few traces; reusing the trace object also reuses its replay-list
-#: views. Three entries hold the quick sweep's three benchmarks, so each
-#: worker builds each of them once. A full ``fig2 fig7 fig8`` sweep
-#: (72 cells, 9 traces, 2 workers) still reuses 27 traces: more entries
-#: reuse little more until nine, which reuse 54 but double a worker's
-#: peak RSS (see docs/performance.md, "Cold cells").
+#: keyed by :meth:`ExperimentTask.trace_key`. Every seed of a harness
+#: cell replays trace seed 0, and :func:`experiment_tasks` orders a
+#: grid's cells by this key, so each process — a pool worker, or the
+#: coordinator running cells itself — builds each trace of a sweep once:
+#: the full ``fig2 fig7 fig8`` sweep (72 cells, 9 traces) reuses at
+#: least 54 traces with 2 workers. Reusing the trace object also reuses
+#: its replay-list views. Three entries cost about 50 MB per worker
+#: (see docs/performance.md, "Cold cells").
 _RECENT_WORKLOADS: Dict[Tuple[str, int, int, int], MultiTrace] = {}
 _RECENT_LIMIT = 3
 
@@ -247,37 +265,55 @@ class TaskOutcome:
     worker_pid: int
 
 
-def execute_envelope(envelope: _Envelope) -> TaskOutcome:
-    """Run one cell in the current process (the worker entry point).
+def load_or_simulate(
+    task: ExperimentTask,
+    disk: Optional[DiskCache] = None,
+    version: Optional[str] = None,
+    check_invariants: str = "",
+    telemetry=None,
+) -> Tuple[RunResult, str]:
+    """One cell's result and its cache status (``hit|miss|off``).
 
-    Consults the disk cache first; on a miss, simulates and stores the
-    result. The store is atomic, so a worker dying mid-task never leaves
-    a partial cache entry.
+    Consults *disk* first; on a miss, simulates — audited by the
+    coherence sanitizer in mode *check_invariants* and recorded into
+    *telemetry* when given — and stores the result. The store is
+    atomic, so a process dying mid-task never leaves a partial cache
+    entry.
     """
+    status = "off"
+    key = None
+    if disk is not None:
+        key = task.cache_key(version)
+        result = disk.load(key)
+        if result is not None:
+            return result, "hit"
+        status = "miss"
+    sanitizer = None
+    if check_invariants:
+        from repro.validate.sanitizer import CoherenceSanitizer
+
+        sanitizer = CoherenceSanitizer(mode=check_invariants)
+    result = task.execute(sanitizer=sanitizer, telemetry=telemetry)
+    if disk is not None:
+        disk.store(key, result, metadata=task.describe())
+    return result, status
+
+
+def execute_envelope(envelope: _Envelope) -> TaskOutcome:
+    """Run one cell in the current process (the pool's task callable)."""
     started = time.perf_counter()
     if envelope.workload_cache_dir is not None:
         current = active_store()
         if current is None or \
                 str(current.cache_dir) != envelope.workload_cache_dir:
             set_workload_store(WorkloadStore(envelope.workload_cache_dir))
-    task = envelope.task
-    result = None
-    status = "off"
-    disk = key = None
+    disk = None
     if envelope.cache_dir is not None:
         disk = DiskCache(envelope.cache_dir)
-        key = task.cache_key(envelope.code_version)
-        result = disk.load(key)
-        status = "hit" if result is not None else "miss"
-    if result is None:
-        sanitizer = None
-        if envelope.check_invariants:
-            from repro.validate.sanitizer import CoherenceSanitizer
-
-            sanitizer = CoherenceSanitizer(mode=envelope.check_invariants)
-        result = task.execute(sanitizer=sanitizer)
-        if disk is not None:
-            disk.store(key, result, metadata=task.describe())
+    result, status = load_or_simulate(
+        envelope.task, disk, envelope.code_version,
+        envelope.check_invariants,
+    )
     return TaskOutcome(
         index=envelope.index,
         result=result,
@@ -285,18 +321,6 @@ def execute_envelope(envelope: _Envelope) -> TaskOutcome:
         wall_seconds=time.perf_counter() - started,
         peak_rss_kb=_peak_rss_kb(),
         worker_pid=os.getpid(),
-    )
-
-
-def _failure_from_exception(index: int, exc: BaseException) -> TaskFailure:
-    return TaskFailure(
-        index=index,
-        kind="exception",
-        exc_type=type(exc).__name__,
-        message=str(exc),
-        traceback="".join(traceback.format_exception(
-            type(exc), exc, exc.__traceback__)),
-        failure_class=classify_failure(exc),
     )
 
 
@@ -309,8 +333,8 @@ class ParallelRunner:
     Parameters
     ----------
     workers:
-        Process count; ``<= 1`` runs serially in this process (same
-        code path per cell — the determinism oracle).
+        Process count; ``<= 1`` runs the cells in this process, in
+        order (same code path per cell — the determinism oracle).
     cache:
         Optional :class:`DiskCache`; workers read and write it directly.
     runlog:
@@ -341,8 +365,8 @@ class ParallelRunner:
         recorded complete are loaded from the cache instead of re-run,
         bit-identical either way.
     circuit_threshold:
-        Consecutive pool faults (crashes/timeouts) before the pool is
-        abandoned and the remaining cells run serially in-process.
+        Consecutive pool faults (crashes/timeouts) before the pool
+        stops forking and runs the remaining cells in this process.
     check_invariants:
         "" (off), "sampled" or "deep": run the coherence sanitizer
         inside every simulation this sweep actually executes.
@@ -440,10 +464,26 @@ class ParallelRunner:
                 resumed=len(resumed),
             )
         started = time.perf_counter()
-        if self.workers > 1 and len(pending) > 1:
-            outcomes = self._run_pool(pending)
-        else:
-            outcomes = self._run_serial(pending)
+        # Forked workers share this process's memory: tabulating the
+        # region protocols the cells use here saves each worker its own
+        # tabulation in its first cell.
+        for flags in {(e.task.config.two_bit_response,
+                       e.task.config.self_invalidation) for e in pending}:
+            RegionProtocol(*flags)
+        pool = SupervisedPool(
+            self.workers, self.execute,
+            task_timeout=self.task_timeout,
+            heartbeat_interval=self.heartbeat_interval,
+            breaker=CircuitBreaker(self.circuit_threshold),
+        )
+        outcomes, drained = pool.run(pending, self._on_outcome,
+                                     self._decide_retry)
+        if drained:
+            self._log("circuit-break",
+                      remaining=len(drained),
+                      crashes=pool.crashes,
+                      timeouts=pool.timeouts,
+                      consecutive_faults=pool.breaker.consecutive_faults)
         outcomes = resumed + outcomes
         results: List[Optional[RunResult]] = [None] * len(envelopes)
         for outcome in outcomes:
@@ -525,7 +565,12 @@ class ParallelRunner:
                       worker=os.getpid(), peak_rss_kb=0, attempt=0)
         return pending, resumed
 
-    def _mark_done(self, envelope: _Envelope, outcome: TaskOutcome) -> None:
+    # ------------------------------------------------------------------
+    # Pool callbacks (run in this process for every cell)
+    # ------------------------------------------------------------------
+    def _on_outcome(self, envelope: _Envelope, outcome: TaskOutcome) -> None:
+        self._record_outcome(envelope, outcome,
+                             self._attempts[envelope.index])
         if self.checkpoint is not None:
             self.checkpoint.mark_done(
                 envelope.index,
@@ -533,79 +578,17 @@ class ParallelRunner:
                 outcome.cache,
             )
 
-    # ------------------------------------------------------------------
-    # Execution paths
-    # ------------------------------------------------------------------
-    def _run_serial(self, envelopes: List[_Envelope]) -> List[TaskOutcome]:
-        outcomes = []
-        for envelope in envelopes:
-            while True:
-                attempt = self._attempts[envelope.index]
-                try:
-                    outcome = self.execute(envelope)
-                except Exception as exc:  # noqa: BLE001 — surfaced via log
-                    failure = _failure_from_exception(envelope.index, exc)
-                    delay = self._decide_retry(envelope, failure)
-                    if delay is None:
-                        break
-                    time.sleep(delay)
-                else:
-                    self._record_outcome(envelope, outcome, attempt)
-                    self._mark_done(envelope, outcome)
-                    outcomes.append(outcome)
-                    break
-        return outcomes
-
-    def _run_pool(self, envelopes: List[_Envelope]) -> List[TaskOutcome]:
-        # Forked workers share this process's memory: tabulating the
-        # region protocols the cells use here saves each worker its own
-        # tabulation in its first cell.
-        for flags in {(e.task.config.two_bit_response,
-                       e.task.config.self_invalidation) for e in envelopes}:
-            RegionProtocol(*flags)
-        breaker = CircuitBreaker(self.circuit_threshold)
-        pool = SupervisedPool(
-            self.workers, self.execute,
-            task_timeout=self.task_timeout,
-            heartbeat_interval=self.heartbeat_interval,
-            breaker=breaker,
-        )
-
-        def on_outcome(envelope: _Envelope, outcome: TaskOutcome) -> None:
-            self._record_outcome(envelope, outcome,
-                                 self._attempts[envelope.index])
-            self._mark_done(envelope, outcome)
-
-        outcomes, unfinished = pool.run(envelopes, on_outcome,
-                                        self._decide_retry)
-        if unfinished:
-            # The pool circuit-broke: finish the remaining cells
-            # serially in this process. Determinism makes the fallback
-            # transparent — the same cells produce the same results.
-            self._log("circuit-break",
-                      remaining=len(unfinished),
-                      crashes=pool.crashes,
-                      timeouts=pool.timeouts,
-                      consecutive_faults=breaker.consecutive_faults)
-            unfinished = sorted(unfinished, key=lambda e: e.index)
-            outcomes = outcomes + self._run_serial(unfinished)
-        return outcomes
-
-    # ------------------------------------------------------------------
-    # Failure handling (shared by both paths)
-    # ------------------------------------------------------------------
     def _decide_retry(
         self, envelope: _Envelope, failure: TaskFailure
     ) -> Optional[float]:
-        """Apply the taxonomy: delay seconds to retry, None to give up."""
+        """Log *failure*; the delay before its retry, or None to give up."""
         attempt = self._attempts[envelope.index]
-        deterministic = failure.failure_class is FailureClass.DETERMINISTIC
-        will_retry = not deterministic and attempt <= self.retries
-        self._record_failure(envelope, failure, attempt, will_retry)
-        if not will_retry:
-            return None
-        self._attempts[envelope.index] = attempt + 1
-        return self.policy.delay(attempt, key=envelope.index)
+        delay = self.policy.retry_delay(failure, attempt, self.retries,
+                                        key=envelope.index)
+        self._record_failure(envelope, failure, attempt, delay is not None)
+        if delay is not None:
+            self._attempts[envelope.index] = attempt + 1
+        return delay
 
     def _record_failure(self, envelope: _Envelope, failure: TaskFailure,
                         attempt: int, will_retry: bool) -> None:
@@ -681,7 +664,9 @@ def experiment_tasks(
     experiments with no cacheable simulations (the static tables,
     ``fig6``, and the ones that drive :class:`Simulator` directly)
     contribute nothing. The order is stable, so task lists — and hence
-    parallel sweeps — are reproducible.
+    parallel sweeps — are reproducible, and it is sorted by
+    :meth:`ExperimentTask.trace_key`, so each process running a share of
+    the cells builds each trace once (see :func:`_recent_workload`).
     """
     from repro.harness import extensions
 
@@ -745,46 +730,23 @@ def experiment_tasks(
                 add(name, replace(baseline, topology=topology))
                 add(name, replace(SystemConfig.paper_cgct(512),
                                   topology=topology))
-    return list(dict.fromkeys(tasks))
+    return sorted(dict.fromkeys(tasks), key=ExperimentTask.trace_key)
 
 
 def warm_cache(
     experiment_ids: Sequence[str],
     options: "RunOptions",
-    cache: RunCache,
-    workers: int = 0,
-    runlog: Optional[RunLog] = None,
-    retries: int = 1,
-    task_timeout: Optional[float] = None,
-    checkpoint: Optional[SweepCheckpoint] = None,
-    check_invariants: str = "",
-    spans=None,
-    span_parent: Optional[str] = None,
-    workload_cache: Optional[WorkloadStore] = None,
+    cache: "RunCache",
+    **runner_options,
 ) -> int:
-    """Fan the experiments' simulation grid out, preloading *cache*.
+    """Run the experiments' simulation grid up-front, preloading *cache*.
 
     After this returns, running the named experiments against *cache*
     executes zero new simulations. Returns the number of grid cells.
-    Uses the cache's own disk backing (if any), so warmed results also
-    persist across invocations.
+    *runner_options* (``workers``, ``runlog``, ``checkpoint``, ...) go
+    to the :class:`ParallelRunner`; see
+    :meth:`~repro.harness.runcache.RunCache.warm`.
     """
     tasks = experiment_tasks(experiment_ids, options)
-    if not tasks:
-        return 0
-    runner = ParallelRunner(workers=workers, cache=cache.disk,
-                            runlog=runlog, retries=retries,
-                            task_timeout=task_timeout,
-                            checkpoint=checkpoint,
-                            check_invariants=check_invariants,
-                            spans=spans, span_parent=span_parent,
-                            workload_cache=workload_cache)
-    results = runner.run(tasks)
-    for task, result in zip(tasks, results):
-        if result is not None:
-            cache.preload(
-                task.benchmark, task.config, task.ops_per_processor, result,
-                seed=task.seed, warmup_fraction=task.warmup_fraction,
-                trace_seed=task.trace_seed,
-            )
+    cache.warm(tasks, **runner_options)
     return len(tasks)

@@ -1,62 +1,39 @@
 """Memoised simulation runs.
 
 The figure experiments overlap heavily — Figures 7, 8 and 10 all need
-the same baseline runs, and Figure 9 reuses Figure 8's 512 B runs. The
-cache keys a run by everything that determines its outcome: the
-workload, trace length, seed, warm-up, and the configuration fields the
-machine honours.
+the same baselines, and Figure 9 reuses Figure 8's 512 B runs. A
+:class:`RunCache` memoises runs by their
+:class:`~repro.harness.parallel.ExperimentTask`, the cell identity the
+parallel runner and the on-disk result cache use too, so every field
+of the configuration tells two runs apart.
 
-A :class:`RunCache` can additionally be backed by an on-disk
-:class:`~repro.harness.cache.DiskCache`; in-memory misses then consult
-the disk store (keyed by the full content address, including the code
-version) before simulating, and freshly simulated results are persisted
-— so repeated invocations only execute changed cells. The parallel
-runner (:mod:`repro.harness.parallel`) preloads a ``RunCache`` through
-:meth:`RunCache.preload` after fanning a grid out across processes.
+A miss goes through :func:`~repro.harness.parallel.load_or_simulate`,
+the executor a sweep's workers use: a disk-backed cache loads the
+result from its :class:`~repro.harness.cache.DiskCache` (keyed by the
+full content address, including the code version), or simulates and
+stores it — so repeated invocations only execute changed cells.
+:meth:`RunCache.warm` runs a whole task list up-front through the
+:class:`~repro.harness.parallel.ParallelRunner` and keeps the results.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
-from repro.harness.cache import DiskCache, cache_key
+from repro.harness.cache import DiskCache
+from repro.harness.parallel import (
+    ExperimentTask,
+    ParallelRunner,
+    _recent_workload,
+    load_or_simulate,
+)
 from repro.system.config import SystemConfig
-from repro.system.simulator import RunResult, run_workload
-from repro.workloads.benchmarks import build_benchmark
+from repro.system.simulator import RunResult
 from repro.workloads.trace import MultiTrace
 
 
-def config_key(config: SystemConfig) -> Tuple:
-    """Hashable signature of the configuration fields that affect a run."""
-    return (
-        config.cgct_enabled,
-        config.geometry.region_bytes,
-        config.rca_sets,
-        config.rca_ways,
-        config.two_bit_response,
-        config.line_response_visible,
-        config.self_invalidation,
-        config.prefer_empty_victims,
-        config.prefetch_region_filter,
-        config.dram_speculation_filter,
-        config.region_state_prefetch,
-        config.regionscout_enabled,
-        config.regionscout_crh_entries,
-        config.regionscout_nsrt_entries,
-        config.jetty_enabled,
-        config.jetty_entries,
-        config.owner_prediction,
-        config.prefetch_enabled,
-        config.timing.store_stall_fraction,
-        config.timing.bus_occupancy_system_cycles,
-        config.timing.mc_occupancy_cpu_cycles,
-        config.timing.perturbation_cycles,
-        config.topology.num_processors,
-    )
-
-
 class RunCache:
-    """Caches traces and completed runs, optionally backed by disk.
+    """Caches completed runs, optionally backed by disk.
 
     ``telemetry_factory`` (a zero-argument callable returning a
     :class:`~repro.telemetry.registry.TelemetryRegistry`) instruments
@@ -66,25 +43,24 @@ class RunCache:
     simulator and therefore capture no telemetry, so telemetry-gathering
     invocations should bypass the disk store (``--no-cache``).
 
-    ``sanitizer_factory`` works the same way for the runtime coherence
-    sanitizer (a zero-argument callable returning a
-    :class:`~repro.validate.sanitizer.CoherenceSanitizer`): only
-    simulations actually executed are audited — cache hits were audited
-    (or not) when they were first computed. Results are bit-identical
-    either way, so sanitized and unsanitized runs share cache entries.
+    ``check_invariants`` ("" | "sampled" | "deep") audits every
+    simulation this cache executes — itself or through :meth:`warm` —
+    with the runtime coherence sanitizer in that mode. Cache hits were
+    audited (or not) when they were first computed; results are
+    bit-identical either way, so sanitized and unsanitized runs share
+    cache entries.
     """
 
     def __init__(
         self,
         disk: Optional[DiskCache] = None,
         telemetry_factory=None,
-        sanitizer_factory=None,
+        check_invariants: str = "",
     ) -> None:
-        self._traces: Dict[Tuple, MultiTrace] = {}
-        self._runs: Dict[Tuple, RunResult] = {}
+        self._runs: Dict[ExperimentTask, RunResult] = {}
         self.disk = disk
         self.telemetry_factory = telemetry_factory
-        self.sanitizer_factory = sanitizer_factory
+        self.check_invariants = check_invariants
         self.telemetry_registries: list = []
 
     def trace(
@@ -92,13 +68,8 @@ class RunCache:
         num_processors: int = 4,
     ) -> MultiTrace:
         """Generate (or reuse) a benchmark trace."""
-        key = (benchmark, ops_per_processor, seed, num_processors)
-        if key not in self._traces:
-            self._traces[key] = build_benchmark(
-                benchmark, num_processors=num_processors,
-                ops_per_processor=ops_per_processor, seed=seed,
-            )
-        return self._traces[key]
+        return _recent_workload(benchmark, num_processors, seed,
+                                ops_per_processor)
 
     def run(
         self,
@@ -115,74 +86,47 @@ class RunCache:
         to 0 so all seeds replay the *same* trace, as the paper's
         perturbation methodology does) selects the generated trace.
         """
-        t_seed = 0 if trace_seed is None else trace_seed
-        key = self._key(benchmark, config, ops_per_processor, seed, t_seed,
-                        warmup_fraction)
-        if key not in self._runs:
-            result = None
-            disk_key = None
-            if self.disk is not None:
-                disk_key = cache_key(
-                    config, benchmark, ops_per_processor, seed=seed,
-                    trace_seed=t_seed, warmup_fraction=warmup_fraction,
-                )
-                result = self.disk.load(disk_key)
-            if result is None:
-                workload = self.trace(
-                    benchmark, ops_per_processor, t_seed,
-                    num_processors=config.num_processors,
-                )
-                telemetry = None
-                if self.telemetry_factory is not None:
-                    telemetry = self.telemetry_factory()
-                sanitizer = None
-                if self.sanitizer_factory is not None:
-                    sanitizer = self.sanitizer_factory()
-                result = run_workload(
-                    config, workload, seed=seed,
-                    warmup_fraction=warmup_fraction,
-                    telemetry=telemetry,
-                    sanitizer=sanitizer,
-                )
-                if telemetry is not None:
-                    self.telemetry_registries.append(telemetry)
-                if self.disk is not None:
-                    self.disk.store(disk_key, result, metadata={
-                        "benchmark": benchmark,
-                        "ops": ops_per_processor,
-                        "seed": seed,
-                        "trace_seed": t_seed,
-                        "warmup": warmup_fraction,
-                        "processors": config.num_processors,
-                    })
-            self._runs[key] = result
-        return self._runs[key]
+        task = ExperimentTask(
+            benchmark, config, ops_per_processor, seed=seed,
+            trace_seed=0 if trace_seed is None else trace_seed,
+            warmup_fraction=warmup_fraction,
+        )
+        result = self._runs.get(task)
+        if result is None:
+            telemetry = None
+            if self.telemetry_factory is not None:
+                telemetry = self.telemetry_factory()
+            result, status = load_or_simulate(
+                task, self.disk, check_invariants=self.check_invariants,
+                telemetry=telemetry,
+            )
+            if telemetry is not None and status != "hit":
+                self.telemetry_registries.append(telemetry)
+            self._runs[task] = result
+        return result
 
-    def preload(
-        self,
-        benchmark: str,
-        config: SystemConfig,
-        ops_per_processor: int,
-        result: RunResult,
-        seed: int = 0,
-        warmup_fraction: float = 0.4,
-        trace_seed: Optional[int] = None,
-    ) -> None:
-        """Insert an externally computed result (e.g. from a worker)."""
-        t_seed = 0 if trace_seed is None else trace_seed
-        key = self._key(benchmark, config, ops_per_processor, seed, t_seed,
-                        warmup_fraction)
-        self._runs[key] = result
+    def warm(self, tasks: Iterable[ExperimentTask],
+             **runner_options) -> None:
+        """Run the *tasks* this cache lacks up-front and keep the results.
 
-    @staticmethod
-    def _key(benchmark: str, config: SystemConfig, ops_per_processor: int,
-             seed: int, trace_seed: int, warmup_fraction: float) -> Tuple:
-        return (benchmark, ops_per_processor, seed, trace_seed,
-                warmup_fraction, config_key(config))
+        They go through a :class:`~repro.harness.parallel.ParallelRunner`
+        (in this process at ``workers <= 1``) over this cache's disk
+        store, audited in its ``check_invariants`` mode; the other
+        *runner_options* (``workers``, ``runlog``, ``checkpoint``, ...)
+        go to the runner unchanged.
+        """
+        tasks = [t for t in dict.fromkeys(tasks) if t not in self._runs]
+        if not tasks:
+            return
+        runner = ParallelRunner(cache=self.disk,
+                                check_invariants=self.check_invariants,
+                                **runner_options)
+        for task, result in zip(tasks, runner.run(tasks)):
+            if result is not None:
+                self._runs[task] = result
 
     def clear(self) -> None:
         """Drop every in-memory entry (the disk store is untouched)."""
-        self._traces.clear()
         self._runs.clear()
 
     def __len__(self) -> int:

@@ -35,8 +35,9 @@ Record shapes (beyond the common stamps):
     first sight — see :mod:`repro.common.errors`).
 ``{"event": "circuit-break", "remaining": n, "crashes": n,
 "timeouts": n, "consecutive_faults": n}``
-    The supervised pool tripped its circuit breaker; the ``remaining``
-    cells re-run serially in the coordinator process.
+    The supervised pool tripped its circuit breaker and ran the
+    ``remaining`` cells in the coordinator process; written after their
+    ``run`` records.
 ``{"event": "sweep-end", "wall_s": f, "completed": n, "simulated": n,
 "cache_hits": n, "failures": n, "quarantined": n}``
     Written once per runner invocation, after the last task.

@@ -1,8 +1,12 @@
-"""Supervised worker pool: heartbeats, timeouts, SIGKILL + requeue.
+"""Supervised worker pool: the one loop that runs a list of cells.
 
-``ProcessPoolExecutor`` treats one dead worker as a broken pool and a
-hung worker as invisible. This module replaces it for experiment sweeps
-with a coordinator that owns each worker individually:
+Every grid of independent cells — the parallel runner's experiment
+cells, a service fleet's claimed batch, a conformance campaign's
+iterations — runs through :meth:`SupervisedPool.run`. It executes the
+cells in this process, in order, when ``workers <= 1`` or there are
+fewer than two; otherwise it forks workers and owns each one
+individually, which ``ProcessPoolExecutor`` cannot do (one dead worker
+breaks its whole pool, and a hung one is invisible):
 
 * every worker gets its **own pipe pair** (inbox + results), so a
   process killed mid-write corrupts only its own channel, which the
@@ -11,12 +15,15 @@ with a coordinator that owns each worker individually:
   presumed wedged and replaced;
 * each dispatched task carries a **wall-clock deadline**; a worker that
   blows it is SIGKILLed and the task is requeued;
-* requeues go through the caller's retry callback, which applies the
-  :class:`~repro.common.errors.FailureClass` taxonomy and the
-  :class:`RetryPolicy` backoff;
 * repeated pool-level faults (crashes/timeouts, not in-task exceptions)
-  trip the :class:`CircuitBreaker`; the pool stops and hands the
-  unfinished tasks back so the caller can degrade to serial execution.
+  trip the :class:`CircuitBreaker`; the pool then stops forking and
+  drains the unfinished tasks in this process itself.
+
+Every failed attempt, in a worker or in this process, reaches the
+caller's failure callback as a :class:`TaskFailure`, and callers judge
+it with the one retry rule, :meth:`RetryPolicy.retry_delay`: a
+deterministic failure gives up at once, a transient one retries after
+the policy's backoff until the retry budget is spent.
 
 Determinism is unaffected by any of this: tasks carry their seeds, so a
 requeued task re-executes bit-identically, and result ordering is
@@ -79,6 +86,19 @@ class RetryPolicy:
             )
             base *= 1.0 + self.jitter * fraction
         return min(self.max_delay, base)
+
+    def retry_delay(self, failure: "TaskFailure", attempt: int,
+                    retries: int, key: object = 0) -> Optional[float]:
+        """The retry rule: seconds before retrying *attempt*, or None.
+
+        A deterministic failure recurs on the bit-identical rerun, so it
+        gives up at once; a transient one retries until *retries*
+        retries are spent.
+        """
+        if failure.failure_class is FailureClass.DETERMINISTIC \
+                or attempt > retries:
+            return None
+        return self.delay(attempt, key=key)
 
 
 class CircuitBreaker:
@@ -217,6 +237,19 @@ class TaskFailure:
     traceback: str
     failure_class: FailureClass
 
+    @classmethod
+    def from_exception(cls, index: int, exc: BaseException) -> "TaskFailure":
+        """The failure of a task that raised *exc* in a healthy process."""
+        return cls(
+            index=index,
+            kind="exception",
+            exc_type=type(exc).__name__,
+            message=str(exc),
+            traceback="".join(traceback.format_exception(
+                type(exc), exc, exc.__traceback__)),
+            failure_class=classify_failure(exc),
+        )
+
     def describe(self) -> str:
         return f"{self.exc_type}: {self.message}".strip(": ")
 
@@ -255,14 +288,7 @@ def _worker_main(execute, inbox, results, heartbeat_interval: float) -> None:
             try:
                 outcome = execute(envelope)
             except BaseException as exc:  # noqa: BLE001 — shipped as data
-                send((
-                    "fail",
-                    envelope.index,
-                    type(exc).__name__,
-                    str(exc),
-                    traceback.format_exc(),
-                    classify_failure(exc).value,
-                ))
+                send(("fail", TaskFailure.from_exception(envelope.index, exc)))
             else:
                 if not send(("done", envelope.index, outcome)):
                     break
@@ -306,10 +332,12 @@ class SupervisedPool:
     Parameters
     ----------
     workers:
-        Worker process count (capped by the number of queued tasks).
+        Worker process count (capped by the number of queued tasks);
+        ``<= 1`` runs every task in this process.
     execute:
-        Per-task callable ``f(envelope) -> outcome``, run in the worker.
-        Must be picklable on platforms without ``fork``.
+        Per-task callable ``f(envelope) -> outcome``, run in a worker
+        or in this process. Must be picklable on platforms without
+        ``fork``.
     task_timeout:
         Per-task wall-clock budget in seconds; ``None`` disables hang
         detection by deadline (heartbeat supervision stays on).
@@ -359,19 +387,22 @@ class SupervisedPool:
         on_outcome: Callable[[object, object], None],
         on_failure: Callable[[object, TaskFailure], Optional[float]],
     ) -> Tuple[List, List]:
-        """Execute *envelopes*; returns ``(outcomes, unfinished)``.
+        """Execute *envelopes*; returns ``(outcomes, drained)``.
 
-        ``on_outcome(envelope, outcome)`` fires per completion.
-        ``on_failure(envelope, failure)`` decides retries: return the
-        delay in seconds to requeue the envelope, or ``None`` to drop
-        it (quarantine/exhausted). ``unfinished`` is non-empty only when
-        the circuit breaker tripped; the caller should run those
-        serially.
+        ``on_outcome(envelope, outcome)`` fires per completion, in this
+        process. ``on_failure(envelope, failure)`` decides retries:
+        return the delay in seconds to retry the envelope, or ``None``
+        to drop it (quarantine/exhausted). ``drained`` lists the
+        envelopes a tripped circuit breaker left unfinished, which this
+        call then ran in this process, in index order.
         """
+        outcomes: List = []
+        if self.workers <= 1 or len(envelopes) < 2 or self.breaker.tripped:
+            self._run_here(envelopes, outcomes, on_outcome, on_failure)
+            return outcomes, []
         ready = deque(envelopes)
         delayed: List[Tuple[float, int, object]] = []
         seq = 0
-        outcomes: List = []
 
         def requeue(delay: float, envelope) -> None:
             nonlocal seq
@@ -399,14 +430,37 @@ class SupervisedPool:
                     break
                 self._pump(pool, outcomes, on_outcome, on_failure, requeue)
                 self._sweep(pool, on_failure, requeue)
-            unfinished = list(ready)
-            unfinished.extend(env for _, _, env in delayed)
-            unfinished.extend(
+            drained = list(ready)
+            drained.extend(env for _, _, env in delayed)
+            drained.extend(
                 w.inflight for w in pool if w.inflight is not None
             )
-            return outcomes, unfinished
         finally:
             self._shutdown(pool)
+        # The breaker tripped: finish in this process. Determinism makes
+        # the fallback transparent — the same cells give the same results.
+        drained.sort(key=lambda e: e.index)
+        self._run_here(drained, outcomes, on_outcome, on_failure)
+        return outcomes, drained
+
+    def _run_here(self, envelopes, outcomes, on_outcome, on_failure) -> None:
+        """Run *envelopes* in this process, in order, retrying in place."""
+        for envelope in envelopes:
+            while True:
+                try:
+                    outcome = self.execute(envelope)
+                except Exception as exc:  # noqa: BLE001 — the caller judges
+                    delay = on_failure(
+                        envelope,
+                        TaskFailure.from_exception(envelope.index, exc),
+                    )
+                    if delay is None:
+                        break
+                    time.sleep(delay)
+                else:
+                    outcomes.append(outcome)
+                    on_outcome(envelope, outcome)
+                    break
 
     # ------------------------------------------------------------------
     def _spawn(self) -> _Worker:
@@ -470,15 +524,7 @@ class SupervisedPool:
                 outcomes.append(message[2])
                 on_outcome(envelope, message[2])
             else:
-                failure = TaskFailure(
-                    index=message[1],
-                    kind="exception",
-                    exc_type=message[2],
-                    message=message[3],
-                    traceback=message[4],
-                    failure_class=FailureClass(message[5]),
-                )
-                delay = on_failure(envelope, failure)
+                delay = on_failure(envelope, message[1])
                 if delay is not None:
                     requeue(delay, envelope)
 

@@ -24,9 +24,10 @@ import dataclasses
 import itertools
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence
 
+from repro.harness.parallel import ExperimentTask
+from repro.harness.runcache import RunCache
 from repro.system.config import SystemConfig
 from repro.system.simulator import RunResult
-from repro.harness.runcache import RunCache
 
 
 def _replace_path(config, path: str, value):
@@ -117,13 +118,15 @@ class ConfigSweep:
         """Run the full grid × workload matrix; returns tidy records.
 
         ``workers > 1`` executes the grid across that many worker
-        processes (bit-identical records, see
+        processes, and any other count runs it in this process, both
+        through :meth:`RunCache.warm` (bit-identical records, see
         :mod:`repro.harness.parallel`); ``runlog`` appends per-cell
         observability records either way. A disk-backed *cache* makes
         repeated sweeps only execute changed cells. A cache carrying a
         ``telemetry_factory`` instruments every simulated cell; such
-        sweeps run in-process (the parallel warm-up is skipped — worker
-        processes cannot hand their registries back).
+        sweeps skip the warm-up and simulate cell by cell as the
+        records are built (worker processes cannot hand their
+        registries back).
 
         The fault-tolerance knobs mirror
         :class:`~repro.harness.parallel.ParallelRunner`:
@@ -145,17 +148,18 @@ class ConfigSweep:
             set_workload_store(workload_cache)
         cache = cache if cache is not None else RunCache()
         workloads = list(workloads)
-        if check_invariants and cache.sanitizer_factory is None:
-            from repro.validate.sanitizer import CoherenceSanitizer
-
-            cache.sanitizer_factory = (
-                lambda: CoherenceSanitizer(mode=check_invariants)
+        if check_invariants and not cache.check_invariants:
+            cache.check_invariants = check_invariants
+        if cache.telemetry_factory is None:
+            configs = [self.baseline] + [self.config_for(p)
+                                         for p in self.grid()]
+            cache.warm(
+                (ExperimentTask(name, config, ops_per_processor, seed=seed,
+                                warmup_fraction=warmup_fraction)
+                 for name in workloads for config in configs),
+                workers=workers, runlog=runlog, task_timeout=task_timeout,
+                checkpoint=checkpoint, workload_cache=workload_cache,
             )
-        if (workers > 1 or runlog is not None) and \
-                cache.telemetry_factory is None:
-            self._warm(workloads, ops_per_processor, warmup_fraction, seed,
-                       cache, workers, runlog, task_timeout, checkpoint,
-                       check_invariants, workload_cache)
         records: List[Dict] = []
         for name in workloads:
             base_run = cache.run(
@@ -174,33 +178,6 @@ class ConfigSweep:
                     record[metric] = extract(base_run, run)
                 records.append(record)
         return records
-
-    def _warm(self, workloads, ops_per_processor, warmup_fraction, seed,
-              cache, workers, runlog, task_timeout=None, checkpoint=None,
-              check_invariants: str = "", workload_cache=None) -> None:
-        """Execute every grid cell through the parallel runner up-front."""
-        from repro.harness.parallel import ExperimentTask, ParallelRunner
-
-        tasks = []
-        for name in workloads:
-            tasks.append(ExperimentTask(
-                name, self.baseline, ops_per_processor, seed=seed,
-                warmup_fraction=warmup_fraction))
-            for point in self.grid():
-                tasks.append(ExperimentTask(
-                    name, self.config_for(point), ops_per_processor,
-                    seed=seed, warmup_fraction=warmup_fraction))
-        tasks = list(dict.fromkeys(tasks))
-        runner = ParallelRunner(workers=workers, cache=cache.disk,
-                                runlog=runlog, task_timeout=task_timeout,
-                                checkpoint=checkpoint,
-                                check_invariants=check_invariants,
-                                workload_cache=workload_cache)
-        for task, result in zip(tasks, runner.run(tasks)):
-            if result is not None:
-                cache.preload(task.benchmark, task.config,
-                              task.ops_per_processor, result, seed=task.seed,
-                              warmup_fraction=task.warmup_fraction)
 
     @staticmethod
     def best(records: List[Dict], metric: str = "runtime_reduction") -> Dict:

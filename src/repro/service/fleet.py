@@ -6,25 +6,27 @@ host). Its loop:
 1. **claim** up to a batch of pending cells from the
    :class:`~repro.service.queue.CampaignQueue` (lease = ``lease_s``);
 2. **execute** them through a
-   :class:`~repro.harness.supervisor.SupervisedPool` (``workers > 1``)
-   or serially in-process, while a daemon heartbeat thread renews the
-   batch's leases every ``heartbeat_s``;
+   :class:`~repro.harness.supervisor.SupervisedPool` — forked workers
+   at ``workers > 1``, this process otherwise — while a daemon
+   heartbeat thread renews the batch's leases every ``heartbeat_s``;
 3. **commit** each outcome (``done`` record + the content-addressed
    result already persisted by the worker), skipping cells whose lease
    was lost to a reclaim — the no-double-commit invariant;
 4. repeat until every targeted campaign is drained or cancelled.
 
-Fault handling mirrors the parallel runner's taxonomy: deterministic
-failures are quarantined immediately (with a ``cgct-diagnostics/v1``
-bundle), transient ones retry in-batch with backoff, and a cell whose
-transient retries exhaust is simply *left leased* — the lease expires,
-the queue re-admits it with exponential backoff, and :meth:`~repro
-.service.queue.CampaignQueue.reap` quarantines it if it keeps killing
-workers. Repeated pool-level faults trip the pool's half-open circuit
-breaker; if the breaker exhausts its probes the fleet degrades — the
-unfinished cells of the batch run serially in-process and subsequent
-batches use half the workers (down to 1), the "fewer fleets then
-serial" ladder's bottom rung.
+Failures are judged by the pool's one retry rule
+(:meth:`~repro.harness.supervisor.RetryPolicy.retry_delay`), as in the
+parallel runner: deterministic failures are quarantined immediately
+(with a ``cgct-diagnostics/v1`` bundle), transient ones retry in-batch
+with backoff, and a cell whose transient retries exhaust is simply
+*left leased* — the lease expires, the queue re-admits it with
+exponential backoff, and :meth:`~repro.service.queue.CampaignQueue
+.reap` quarantines it if it keeps killing workers. Repeated pool-level
+faults trip the pool's half-open circuit breaker; if the breaker
+exhausts its probes the pool drains the batch's unfinished cells in
+this process and the fleet degrades — subsequent batches use half the
+workers (down to 1), the "fewer fleets then serial" ladder's bottom
+rung.
 
 A SIGKILL of the whole fleet needs no handling at all: its leases
 expire and other fleets (or a resumed service) reclaim the cells; the
@@ -38,11 +40,10 @@ import json
 import os
 import threading
 import time
-import traceback
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
-from repro.common.errors import FailureClass, classify_failure
+from repro.common.errors import FailureClass
 from repro.harness.cache import code_version
 from repro.harness.parallel import (
     ExperimentTask,
@@ -236,16 +237,36 @@ class Fleet:
                 slot, self._task_for(campaign, index), self.cache_dir,
                 self._version,
             ))
+        pool = SupervisedPool(
+            self.workers, self.execute,
+            breaker=CircuitBreaker(self.circuit_threshold,
+                                   cooldown=self.breaker_cooldown),
+        )
+
+        def on_outcome(envelope: _Envelope, outcome: TaskOutcome) -> None:
+            self._commit(envelope, outcome, batch)
+
+        def on_failure(envelope: _Envelope,
+                       failure: TaskFailure) -> Optional[float]:
+            return self._decide_retry(envelope, failure, batch)
+
         stop = threading.Event()
         beat = threading.Thread(
             target=self._heartbeat_loop, args=(stop,), daemon=True,
         )
         beat.start()
         try:
-            if self.workers > 1 and len(envelopes) > 1:
-                self._run_pool(envelopes, batch)
-            else:
-                self._run_serial(envelopes, batch)
+            _, drained = pool.run(envelopes, on_outcome, on_failure)
+            if drained:
+                # Breaker exhausted: the pool drained this batch
+                # in-process; halve the crew for the next one.
+                self.degradations += 1
+                old_workers = self.workers
+                self.workers = max(1, self.workers // 2)
+                self._log("degrade", remaining=len(drained),
+                          crashes=pool.crashes, timeouts=pool.timeouts,
+                          workers_before=old_workers,
+                          workers_after=self.workers)
         finally:
             stop.set()
             beat.join(timeout=2.0)
@@ -266,59 +287,6 @@ class Fleet:
                 continue
             for cell in lost:
                 self._lost.add(cell)
-
-    # ------------------------------------------------------------------
-    def _run_pool(self, envelopes: List[_Envelope],
-                  batch: Dict[int, Tuple[str, int, str]]) -> None:
-        breaker = CircuitBreaker(
-            self.circuit_threshold, cooldown=self.breaker_cooldown,
-        )
-        pool = SupervisedPool(
-            self.workers, self.execute, breaker=breaker,
-        )
-
-        def on_outcome(envelope: _Envelope, outcome: TaskOutcome) -> None:
-            self._commit(envelope, outcome, batch)
-
-        def on_failure(envelope: _Envelope,
-                       failure: TaskFailure) -> Optional[float]:
-            return self._decide_retry(envelope, failure, batch)
-
-        _, unfinished = pool.run(envelopes, on_outcome, on_failure)
-        if unfinished:
-            # Breaker exhausted: degrade — drain this batch serially and
-            # halve the crew for the next one.
-            self.degradations += 1
-            old_workers = self.workers
-            self.workers = max(1, self.workers // 2)
-            self._log("degrade", remaining=len(unfinished),
-                      crashes=pool.crashes, timeouts=pool.timeouts,
-                      workers_before=old_workers,
-                      workers_after=self.workers)
-            self._run_serial(
-                sorted(unfinished, key=lambda e: e.index), batch,
-            )
-
-    def _run_serial(self, envelopes: List[_Envelope],
-                    batch: Dict[int, Tuple[str, int, str]]) -> None:
-        for envelope in envelopes:
-            while True:
-                try:
-                    outcome = self.execute(envelope)
-                except Exception as exc:  # noqa: BLE001 — taxonomy below
-                    failure = TaskFailure(
-                        index=envelope.index, kind="exception",
-                        exc_type=type(exc).__name__, message=str(exc),
-                        traceback=traceback.format_exc(),
-                        failure_class=classify_failure(exc),
-                    )
-                    delay = self._decide_retry(envelope, failure, batch)
-                    if delay is None:
-                        break
-                    time.sleep(delay)
-                else:
-                    self._commit(envelope, outcome, batch)
-                    break
 
     # ------------------------------------------------------------------
     def _commit(self, envelope: _Envelope, outcome: TaskOutcome,
@@ -353,9 +321,9 @@ class Fleet:
         campaign, index, key = batch[envelope.index]
         cell = (campaign, index)
         attempt = self._attempts.get(cell, 1)
-        deterministic = failure.failure_class is FailureClass.DETERMINISTIC
-        will_retry = not deterministic and attempt <= self.retries \
-            and cell not in self._lost
+        delay = None if cell in self._lost else self.policy.retry_delay(
+            failure, attempt, self.retries, key=cell)
+        will_retry = delay is not None
         self._log("run", campaign=campaign, index=index,
                   status="error", kind=failure.kind,
                   failure_class=failure.failure_class.value,
@@ -363,8 +331,8 @@ class Fleet:
                   will_retry=will_retry)
         if will_retry:
             self._attempts[cell] = attempt + 1
-            return self.policy.delay(attempt, key=cell)
-        if deterministic:
+            return delay
+        if failure.failure_class is FailureClass.DETERMINISTIC:
             bundle = self._write_failure_bundle(
                 campaign, index, envelope, failure,
             )

@@ -13,14 +13,15 @@ from repro.harness.extensions import (
     _topology_for,
 )
 from repro.harness.experiments import RunOptions, run_experiment
-from repro.harness.runcache import RunCache, config_key
+from repro.harness.parallel import ExperimentTask
+from repro.harness.runcache import RunCache
 
 ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestAblationConfigs:
     def test_variants_are_distinct_runs(self):
-        keys = {label: config_key(cfg)
+        keys = {label: ExperimentTask("barnes", cfg, 1_000)
                 for label, cfg in _ablation_configs().items()}
         assert len(set(keys.values())) == len(keys), (
             "two ablation variants share a cache key — their results "
@@ -82,7 +83,7 @@ class TestExtensionConfigs:
         assert len(labels) == 5
 
     def test_variants_are_distinct_runs(self):
-        keys = {label: config_key(cfg)
+        keys = {label: ExperimentTask("barnes", cfg, 1_000)
                 for label, cfg in _extension_configs().items()}
         assert len(set(keys.values())) == len(keys)
 

@@ -236,6 +236,21 @@ def test_experiment_tasks_deduplicate_across_experiments():
     assert together == experiment_tasks(["fig7"], options)
 
 
+def test_experiment_tasks_keep_each_traces_cells_together():
+    """Cells replaying one trace are contiguous, so a process running a
+    share of them in order builds each trace once."""
+    options = RunOptions(ops_per_processor=1000, seeds=2,
+                         benchmarks=("barnes", "ocean", "tpc-w"),
+                         region_sizes=(256, 512))
+    tasks = experiment_tasks(["fig2", "fig7", "fig8", "fig9", "scaling"],
+                             options)
+    keys = [task.trace_key() for task in tasks]
+    runs = [key for i, key in enumerate(keys) if i == 0 or key != keys[i - 1]]
+    assert len(runs) == len(set(keys))
+    # Three 4-processor traces, plus scaling's 8p and 16p tpc-w.
+    assert len(set(keys)) == 5
+
+
 def test_static_experiments_need_no_simulations():
     options = RunOptions()
     assert experiment_tasks(["table1", "table2", "table3", "table4", "fig6"],

@@ -1,17 +1,28 @@
 """Run memoisation shared across experiments."""
 
-from repro.harness.runcache import RunCache, config_key
+from dataclasses import replace
+
+from repro.harness.parallel import ExperimentTask
+from repro.harness.runcache import RunCache
 from repro.system.config import SystemConfig
 
 
 def test_config_key_distinguishes_what_matters():
+    """RunCache keys runs by their ExperimentTask: every configuration
+    field tells two cells apart, and equal configurations share one."""
+    def task(config):
+        return ExperimentTask("barnes", config, 400)
+
     base = SystemConfig.paper_baseline()
-    assert config_key(base) != config_key(SystemConfig.paper_cgct(512))
-    assert config_key(SystemConfig.paper_cgct(256)) != config_key(
-        SystemConfig.paper_cgct(512))
-    assert config_key(SystemConfig.paper_cgct(512, rca_sets=4096)) != config_key(
-        SystemConfig.paper_cgct(512))
-    assert config_key(base) == config_key(SystemConfig.paper_baseline())
+    cgct = SystemConfig.paper_cgct(512)
+    assert task(base) != task(cgct)
+    assert task(SystemConfig.paper_cgct(256)) != task(cgct)
+    assert task(SystemConfig.paper_cgct(512, rca_sets=4096)) != task(cgct)
+    # Fields a hand-written key once left out.
+    assert task(cgct) != task(replace(cgct, prefetch_streams=1))
+    assert task(cgct) != task(replace(cgct, interleave_bytes=1024))
+    assert task(base) == task(SystemConfig.paper_baseline())
+    assert hash(task(base)) == hash(task(SystemConfig.paper_baseline()))
 
 
 def test_trace_cache_reuses_objects():

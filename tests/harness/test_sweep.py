@@ -72,6 +72,22 @@ class TestRun:
         assert records[0]["broadcasts"] > 0
         assert "runtime_reduction" not in records[0]
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_points_differing_only_outside_a_hand_written_key(self,
+                                                              workers):
+        """Regression: the in-memory cache once keyed runs by a list of
+        23 configuration fields that left out ``prefetch_streams``, so
+        both points of this sweep reported one point's cycles."""
+        sweep = ConfigSweep(
+            base=SystemConfig.paper_cgct(),
+            axes={"prefetch_streams": [1, 8]},
+        )
+        serial = sweep.run(["tpc-b"], ops_per_processor=1_500)
+        records = sweep.run(["tpc-b"], ops_per_processor=1_500,
+                            workers=workers)
+        assert records == serial
+        assert records[0]["cycles"] != records[1]["cycles"]
+
     def test_best(self):
         records = [
             {"x": 1, "runtime_reduction": 0.05},

@@ -8,12 +8,15 @@ bundle, transient ones retry, and a lost lease never double-commits.
 """
 
 import json
+import os
 import threading
 import time
+from functools import partial
 from pathlib import Path
 
 from repro.harness.cache import DiskCache
 from repro.harness.parallel import execute_envelope
+from repro.harness.runlog import RunLog, read_runlog
 from repro.harness.supervisor import RetryPolicy
 from repro.service.campaign import CampaignService
 from repro.service.fleet import Fleet
@@ -226,3 +229,60 @@ def test_sigkilled_fleets_cells_are_reissued_and_identical(tmp_path):
     ).results(campaign)
     assert report.complete
     assert report.result_fingerprint == ref_report.result_fingerprint
+
+
+def _die_in_workers(envelope, parent_pid):
+    """Kill any forked worker outright; succeed in the fleet's process."""
+    if os.getpid() != parent_pid:
+        os._exit(17)
+    return execute_envelope(envelope)
+
+
+def test_exhausted_breaker_drains_batch_in_process_and_halves_workers(
+        tmp_path, monkeypatch):
+    """Every worker dies, so the pool's half-open breaker spends its
+    probes and trips for good. The pool then drains the batch in the
+    fleet's own process with the undisturbed results, the fleet logs
+    one ``degrade`` and the next batch runs on half the workers."""
+    spec = dict(SPEC, seeds=6)
+    service, campaign = submit(tmp_path, spec)
+    batches = []
+    execute_batch = Fleet._execute_batch
+
+    def spy(fleet, picks):
+        batches.append((len(picks), fleet.workers))
+        return execute_batch(fleet, picks)
+
+    monkeypatch.setattr(Fleet, "_execute_batch", spy)
+    log = tmp_path / "fleet.jsonl"
+    with RunLog(log) as runlog:
+        fleet = Fleet(
+            tmp_path / "svc", "f1", campaign=campaign, workers=2,
+            cache_dir=service.cache_dir, batch=4, retries=50,
+            circuit_threshold=2, breaker_cooldown=0.02, runlog=runlog,
+            policy=RetryPolicy(backoff_base=0.01, backoff_cap=0.02,
+                               max_delay=0.02),
+            execute=partial(_die_in_workers, parent_pid=os.getpid()),
+        )
+        counters = fleet.run()
+    assert counters["degradations"] == 1
+    assert counters["committed"] == 6
+    assert counters["abandoned"] == counters["quarantined"] == 0
+    assert batches == [(4, 2), (2, 1)]
+    degrades = [r for r in read_runlog(log) if r["event"] == "degrade"]
+    assert len(degrades) == 1
+    assert degrades[0]["remaining"] == 4
+    assert degrades[0]["crashes"] >= 2
+    assert (degrades[0]["workers_before"],
+            degrades[0]["workers_after"]) == (2, 1)
+
+    clean, clean_campaign = submit(tmp_path / "clean", spec)
+    Fleet(tmp_path / "clean" / "svc", "f1", campaign=clean_campaign,
+          cache_dir=clean.cache_dir).run()
+    keys = fleet.queue.keys(campaign)
+    assert keys == CampaignQueue(tmp_path / "clean" / "svc").keys(
+        clean_campaign)
+    store, clean_store = DiskCache(service.cache_dir), \
+        DiskCache(clean.cache_dir)
+    for key in keys.values():
+        assert store.load(key) == clean_store.load(key) is not None
