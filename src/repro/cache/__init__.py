@@ -8,7 +8,7 @@ is attached to, with L1 ⊆ L2 inclusion enforced by back-invalidation.
 """
 
 from repro.cache.l1 import L1Cache
-from repro.cache.l2 import EvictedLine, L2Cache, L2Line
+from repro.cache.l2 import L2Cache, L2Line
 from repro.cache.setassoc import SetAssociativeArray
 
-__all__ = ["L1Cache", "L2Cache", "L2Line", "EvictedLine", "SetAssociativeArray"]
+__all__ = ["L1Cache", "L2Cache", "L2Line", "SetAssociativeArray"]

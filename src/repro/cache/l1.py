@@ -71,12 +71,6 @@ class L1Cache:
         self.back_invalidations = 0
 
     # ------------------------------------------------------------------
-    # Indexing
-    # ------------------------------------------------------------------
-    def _index(self, line: int) -> tuple:
-        return line & self._set_mask, line >> self._tag_shift
-
-    # ------------------------------------------------------------------
     # Processor side
     # ------------------------------------------------------------------
     def lookup(self, address: int, write: bool = False) -> bool:
@@ -103,9 +97,8 @@ class L1Cache:
 
     def state_of(self, address: int) -> L1State:
         """Current MSI state of the line containing *address*."""
-        line = self.geometry.line_of(address)
-        set_index, tag = self._index(line)
-        entry = self._array.lookup(set_index, tag, touch=False)
+        line = address >> self._line_shift
+        entry = self._sets[line & self._set_mask].get(line >> self._tag_shift)
         return entry.state if entry is not None else L1State.INVALID
 
     def fill(self, address: int, writable: bool) -> Optional[int]:
@@ -125,20 +118,27 @@ class L1Cache:
             entries[tag] = existing  # MRU promotion, as on any hit
             existing.state = state
             return None
-        evicted_line: Optional[int] = None
         if len(entries) >= self._ways:
-            victim_tag = next(iter(entries))  # LRU-first
-            evicted_line = entries.pop(victim_tag).line
+            # The LRU-first victim's entry object is reused for the new
+            # line: L1 victims leave nothing behind but their line number.
+            entry = entries.pop(next(iter(entries)))
+            evicted_line = entry.line
             self.evictions += 1
+            entry.line = line
+            entry.state = state
+            entries[tag] = entry
+            return evicted_line
         entries[tag] = _L1Line(line, state)
-        return evicted_line
+        return None
 
     def upgrade(self, address: int) -> None:
         """Promote a SHARED copy to MODIFIED after an upgrade completes."""
-        line = self.geometry.line_of(address)
-        set_index, tag = self._index(line)
-        entry = self._array.lookup(set_index, tag)
+        line = address >> self._line_shift
+        entries = self._sets[line & self._set_mask]
+        tag = line >> self._tag_shift
+        entry = entries.pop(tag, None)
         if entry is not None:
+            entries[tag] = entry  # MRU promotion, as on any hit
             entry.state = L1State.MODIFIED
 
     # ------------------------------------------------------------------
@@ -149,18 +149,15 @@ class L1Cache:
 
         Returns True if a copy was present.
         """
-        set_index, tag = self._index(line)
-        entry = self._array.lookup(set_index, tag, touch=False)
-        if entry is None:
+        if self._sets[line & self._set_mask].pop(
+                line >> self._tag_shift, None) is None:
             return False
-        self._array.remove(set_index, tag)
         self.back_invalidations += 1
         return True
 
     def downgrade(self, line: int) -> None:
         """Demote a MODIFIED copy to SHARED (external read snoop)."""
-        set_index, tag = self._index(line)
-        entry = self._array.lookup(set_index, tag, touch=False)
+        entry = self._sets[line & self._set_mask].get(line >> self._tag_shift)
         if entry is not None:
             entry.state = L1State.SHARED
 

@@ -10,7 +10,6 @@ without the cache knowing anything about regions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, List, Optional, Tuple
 
@@ -20,7 +19,12 @@ from repro.memory.geometry import Geometry
 
 
 class L2Line:
-    """One resident L2 line."""
+    """One resident L2 line.
+
+    An evicted line is the same object, popped from its set: nothing
+    changes its state after the eviction, so it reports the state the
+    line left the cache in.
+    """
 
     __slots__ = ("line", "state")
 
@@ -28,31 +32,13 @@ class L2Line:
         self.line = line
         self.state = state
 
-    def __repr__(self) -> str:  # pragma: no cover - diagnostics only
-        return f"L2Line(line={self.line:#x}, state={self.state.value})"
-
-
-@dataclass(frozen=True)
-class EvictedLine:
-    """A line pushed out of the L2.
-
-    Attributes
-    ----------
-    line:
-        The evicted line number.
-    state:
-        Its state at eviction time.
-    needs_writeback:
-        True when the line was dirty (M/O) and must be written to memory.
-    """
-
-    line: int
-    state: LineState
-
     @property
     def needs_writeback(self) -> bool:
-        """Whether the evicted line was dirty (M/O)."""
+        """Whether the line is dirty (M/O): evicting it writes memory."""
         return self.state.is_dirty
+
+    def __repr__(self) -> str:  # pragma: no cover - diagnostics only
+        return f"L2Line(line={self.line:#x}, state={self.state.value})"
 
 
 class L2Cache:
@@ -120,12 +106,6 @@ class L2Cache:
         debt = self._probe_debt
         self._snoop_probes = value if debt is None else value - debt()
 
-    # ------------------------------------------------------------------
-    # Indexing
-    # ------------------------------------------------------------------
-    def _index(self, line: int) -> tuple:
-        return line & self._set_mask, line >> self._set_bits
-
     @property
     def num_sets(self) -> int:
         """Number of sets in the array."""
@@ -160,10 +140,10 @@ class L2Cache:
         """Look up line number *line* without touching LRU or stats."""
         return self._sets[line & self._set_mask].get(line >> self._set_bits)
 
-    def fill(self, address: int, state: LineState) -> Optional[EvictedLine]:
+    def fill(self, address: int, state: LineState) -> Optional[L2Line]:
         """Install the line containing *address* in *state*.
 
-        Returns the victim (if any). The victim's removal callback fires
+        Returns the victim's popped entry (if any). The victim's removal callback fires
         before the new line's allocation callback, so a region line count
         can never double-count a way.
         """
@@ -177,23 +157,21 @@ class L2Cache:
             entries[tag] = existing  # MRU promotion, as on any hit
             existing.state = state
             return None
-        evicted = None
+        victim = None
         if len(entries) >= self._ways:
-            victim_tag = next(iter(entries))  # LRU-first
-            victim_entry = entries.pop(victim_tag)
-            evicted = EvictedLine(victim_entry.line, victim_entry.state)
+            victim = entries.pop(next(iter(entries)))  # LRU-first
             self.evictions += 1
-            if victim_entry.state.is_dirty:
+            if victim.state.is_dirty:
                 self.writebacks += 1
-            self.on_line_removed(victim_entry.line)
+            self.on_line_removed(victim.line)
         entries[tag] = L2Line(line, state)
         self.fills += 1
         self.on_line_allocated(line)
-        return evicted
+        return victim
 
     def set_state(self, line: int, state: LineState) -> None:
         """Change a resident line's state (upgrade completion, etc.)."""
-        entry = self.peek(line)
+        entry = self._sets[line & self._set_mask].get(line >> self._set_bits)
         if entry is None:
             raise KeyError(f"{self.name}: line {line:#x} not resident")
         if not state.is_valid:
@@ -202,11 +180,10 @@ class L2Cache:
 
     def invalidate(self, line: int) -> Optional[LineState]:
         """Drop line *line* if resident; returns its prior state."""
-        set_index, tag = self._index(line)
-        entry = self._array.lookup(set_index, tag, touch=False)
+        entry = self._sets[line & self._set_mask].pop(
+            line >> self._set_bits, None)
         if entry is None:
             return None
-        self._array.remove(set_index, tag)
         self.on_line_removed(line)
         return entry.state
 
@@ -239,25 +216,25 @@ class L2Cache:
                 found.append(entry)
         return found
 
-    def evict_region(self, region: int) -> List[EvictedLine]:
+    def evict_region(self, region: int) -> List[L2Line]:
         """Force out every resident line of *region* (RCA inclusion).
 
         Section 3.2: "lines must sometimes be evicted from the cache
         before a region can be evicted from the RCA." Each dirty victim
         needs a write-back. The count of lines evicted this way is kept in
         ``region_forced_evictions`` to support the paper's claim that the
-        resulting miss-ratio increase is ≈1.2 %.
+        resulting miss-ratio increase is ≈1.2 %. Returns the popped
+        entries.
         """
-        evicted = []
-        for entry in self.resident_lines_of_region(region):
-            set_index, tag = self._index(entry.line)
-            self._array.remove(set_index, tag)
+        evicted = self.resident_lines_of_region(region)
+        for entry in evicted:
+            line = entry.line
+            del self._sets[line & self._set_mask][line >> self._set_bits]
             self.evictions += 1
             self.region_forced_evictions += 1
             if entry.state.is_dirty:
                 self.writebacks += 1
-            self.on_line_removed(entry.line)
-            evicted.append(EvictedLine(entry.line, entry.state))
+            self.on_line_removed(line)
         return evicted
 
     # ------------------------------------------------------------------

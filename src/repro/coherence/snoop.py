@@ -83,6 +83,10 @@ CACHED_LINE_RESPONSES = {
 SNOOP_NOT_SHARED = SnoopResult(shared=False)
 SNOOP_SHARED = SnoopResult(shared=True)
 
+#: Interned combined results with an owner or a supplier, keyed
+#: ``(shared, owned, supplier)`` (see :func:`combine_line_responses`).
+_COMBINED: dict = {}
+
 
 def combine_line_responses(
     responses: Iterable[tuple] # (proc_id, LineSnoopResponse)
@@ -112,4 +116,11 @@ def combine_line_responses(
     if supplier is None and not owned:
         # The two overwhelmingly common combined results are interned.
         return SNOOP_SHARED if shared else SNOOP_NOT_SHARED
-    return SnoopResult(shared=shared, owned=owned, supplier=supplier)
+    # So is every other result, on first use: a frozen value is as good
+    # as a fresh one, and there are only a few per processor.
+    key = (shared, owned, supplier)
+    result = _COMBINED.get(key)
+    if result is None:
+        result = _COMBINED[key] = SnoopResult(
+            shared=shared, owned=owned, supplier=supplier)
+    return result

@@ -22,7 +22,7 @@ class OccupiedResource:
         Diagnostic label used in error messages and stats dumps.
     """
 
-    __slots__ = ("occupancy", "name", "next_free", "services", "busy_cycles",
+    __slots__ = ("occupancy", "name", "next_free", "services",
                  "queued_cycles")
 
     def __init__(self, occupancy: int, name: str = "resource") -> None:
@@ -32,8 +32,13 @@ class OccupiedResource:
         self.name = name
         self.next_free = 0
         self.services = 0
-        self.busy_cycles = 0
         self.queued_cycles = 0
+
+    @property
+    def busy_cycles(self) -> int:
+        """Cycles busy so far: every service occupies the resource for
+        the same fixed ``occupancy``."""
+        return self.services * self.occupancy
 
     def acquire(self, now: int) -> int:
         """Claim the resource at cycle *now*; return the start-of-service time.
@@ -42,12 +47,11 @@ class OccupiedResource:
         begins service then and the resource stays busy for ``occupancy``
         cycles afterwards.
         """
-        start = now if now >= self.next_free else self.next_free
-        wait = start - now
-        self.queued_cycles += wait
+        next_free = self.next_free
+        start = now if now >= next_free else next_free
+        self.queued_cycles += start - now
         self.next_free = start + self.occupancy
         self.services += 1
-        self.busy_cycles += self.occupancy
         return start
 
     def wait_time(self, now: int) -> int:
@@ -64,7 +68,6 @@ class OccupiedResource:
         """Forget all history (used between perturbed runs)."""
         self.next_free = 0
         self.services = 0
-        self.busy_cycles = 0
         self.queued_cycles = 0
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only

@@ -144,9 +144,42 @@ class RunningStat:
             self.maximum = value
 
     def extend(self, values: Iterable[float]) -> None:
-        """Fold many samples into the accumulator."""
+        """Fold many samples into the accumulator.
+
+        Bit-identical to calling :meth:`add` once per value, in order: the
+        loop runs the same floating-point operations on locals and writes
+        the state back once, so a caller may buffer samples and fold them
+        later without changing any moment, extremum or retained sample.
+        """
+        limit = self.sample_limit
+        samples = self._samples
+        stride = self._stride
+        count = self.count
+        mean = self.mean
+        m2 = self._m2
+        lo = self.minimum
+        hi = self.maximum
         for value in values:
-            self.add(value)
+            if limit > 0 and count % stride == 0:
+                samples.append(value)
+                if len(samples) > limit:
+                    samples = samples[::2]
+                    stride *= 2
+            count += 1
+            delta = value - mean
+            mean += delta / count
+            m2 += delta * (value - mean)
+            if lo is None or value < lo:
+                lo = value
+            if hi is None or value > hi:
+                hi = value
+        self._samples = samples
+        self._stride = stride
+        self.count = count
+        self.mean = mean
+        self._m2 = m2
+        self.minimum = lo
+        self.maximum = hi
 
     @property
     def variance(self) -> float:

@@ -74,7 +74,11 @@ import sys
 import time
 
 from repro.harness.cache import DEFAULT_CACHE_DIR, DiskCache
-from repro.harness.experiments import EXPERIMENTS, RunOptions, run_experiment
+from repro.harness.experiments import (
+    EXPERIMENTS,
+    RunOptions,
+    check_experiments,
+)
 from repro.harness.parallel import warm_cache
 from repro.harness.runcache import RunCache
 from repro.harness.runlog import RunLog
@@ -485,6 +489,7 @@ def main(argv=None) -> int:
         options = options.quick()
 
     wanted = list(EXPERIMENTS) if "all" in args.experiments else args.experiments
+    check_experiments(wanted)
     disk = None if args.no_cache else DiskCache(args.cache_dir)
     cache = RunCache(disk=disk, check_invariants=args.check_invariants)
     if args.workload_cache:
@@ -511,7 +516,9 @@ def main(argv=None) -> int:
     try:
         if not args.telemetry:
             # Execute the whole grid up-front (in parallel when asked);
-            # the per-experiment rendering below then runs from cache.
+            # each experiment below then renders from the warm cache
+            # (with --telemetry, it simulates its cells itself, where
+            # their registries can be kept).
             warm_cache(wanted, options, cache, workers=args.workers,
                        runlog=runlog, task_timeout=args.task_timeout,
                        checkpoint=checkpoint)
@@ -521,7 +528,7 @@ def main(argv=None) -> int:
             captured_before = len(cache.telemetry_registries)
             if profiler is not None:
                 with profiler.phase(experiment_id):
-                    result = run_experiment(experiment_id, options, cache)
+                    result = EXPERIMENTS[experiment_id](options, cache)
                 events = sum(
                     registry.get("stats.external_requests").total
                     for registry in
@@ -530,7 +537,7 @@ def main(argv=None) -> int:
                 )
                 profiler.count_events(int(events), phase=experiment_id)
             else:
-                result = run_experiment(experiment_id, options, cache)
+                result = EXPERIMENTS[experiment_id](options, cache)
             results.append(result)
             print(result.render())
             print(f"[{experiment_id} finished in {time.time() - started:.1f}s]\n")

@@ -459,6 +459,16 @@ EXPERIMENTS: Dict[str, Callable[[RunOptions, RunCache], ExperimentResult]] = {
 }
 
 
+def check_experiments(experiment_ids) -> None:
+    """Raise :class:`KeyError`, naming the valid ids, on an unknown id."""
+    for experiment_id in experiment_ids:
+        if experiment_id not in EXPERIMENTS:
+            raise KeyError(
+                f"unknown experiment {experiment_id!r}; "
+                f"choose from {', '.join(EXPERIMENTS)}"
+            )
+
+
 def run_experiment(
     experiment_id: str,
     options: Optional[RunOptions] = None,
@@ -477,11 +487,7 @@ def run_experiment(
     observability. A cache with a ``telemetry_factory`` skips the
     warm-up, so every simulation runs where its registry can be kept.
     """
-    if experiment_id not in EXPERIMENTS:
-        raise KeyError(
-            f"unknown experiment {experiment_id!r}; "
-            f"choose from {', '.join(EXPERIMENTS)}"
-        )
+    check_experiments([experiment_id])
     # NB: explicit None checks — an empty RunCache is falsy (len == 0), so
     # ``cache or RunCache()`` would silently discard a shared cache.
     if options is None:

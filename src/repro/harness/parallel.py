@@ -110,8 +110,8 @@ class ExperimentTask:
     def fingerprint(self) -> str:
         """:func:`config_fingerprint` of this cell's configuration.
 
-        Computed once per task (it costs about 0.25 ms): a
-        :class:`RunCache` hashes a task on every lookup.
+        Looked up once per task: a :class:`RunCache` hashes a task on
+        every lookup.
         """
         return config_fingerprint(self.config)
 

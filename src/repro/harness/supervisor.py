@@ -17,7 +17,9 @@ breaks its whole pool, and a hung one is invisible):
   blows it is SIGKILLed and the task is requeued;
 * repeated pool-level faults (crashes/timeouts, not in-task exceptions)
   trip the :class:`CircuitBreaker`; the pool then stops forking and
-  drains the unfinished tasks in this process itself.
+  drains the unfinished tasks in this process itself — except those
+  that already killed a worker or blew a deadline, which could take
+  this process down or hang it too: they are given up as failures.
 
 Every failed attempt, in a worker or in this process, reaches the
 caller's failure callback as a :class:`TaskFailure`, and callers judge
@@ -34,6 +36,7 @@ cache instead of restarting.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import heapq
 import json
@@ -45,7 +48,7 @@ from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import FailureClass, classify_failure
 from repro.common.rng import derive_seed
@@ -393,8 +396,12 @@ class SupervisedPool:
         process. ``on_failure(envelope, failure)`` decides retries:
         return the delay in seconds to retry the envelope, or ``None``
         to drop it (quarantine/exhausted). ``drained`` lists the
-        envelopes a tripped circuit breaker left unfinished, which this
-        call then ran in this process, in index order.
+        envelopes a tripped circuit breaker left unfinished, in index
+        order, which this call then finished in this process: an
+        envelope whose attempt crashed or timed out a worker is given up
+        — ``on_failure`` gets that failure once more, marked
+        deterministic so the retry rule drops it, and its answer is not
+        acted on — and every other one runs here.
         """
         outcomes: List = []
         if self.workers <= 1 or len(envelopes) < 2 or self.breaker.tripped:
@@ -402,6 +409,8 @@ class SupervisedPool:
             return outcomes, []
         ready = deque(envelopes)
         delayed: List[Tuple[float, int, object]] = []
+        #: Envelope index → its last attempt that killed a worker.
+        killed: Dict[int, TaskFailure] = {}
         seq = 0
 
         def requeue(delay: float, envelope) -> None:
@@ -429,7 +438,7 @@ class SupervisedPool:
                 ):
                     break
                 self._pump(pool, outcomes, on_outcome, on_failure, requeue)
-                self._sweep(pool, on_failure, requeue)
+                self._sweep(pool, on_failure, requeue, killed)
             drained = list(ready)
             drained.extend(env for _, _, env in delayed)
             drained.extend(
@@ -438,9 +447,23 @@ class SupervisedPool:
         finally:
             self._shutdown(pool)
         # The breaker tripped: finish in this process. Determinism makes
-        # the fallback transparent — the same cells give the same results.
+        # the fallback transparent — the same cells give the same results
+        # — but a cell that killed a worker would kill (or hang) this
+        # process too, so it is given up instead of run.
         drained.sort(key=lambda e: e.index)
-        self._run_here(drained, outcomes, on_outcome, on_failure)
+        runnable = []
+        for envelope in drained:
+            failure = killed.get(envelope.index)
+            if failure is None:
+                runnable.append(envelope)
+                continue
+            on_failure(envelope, dataclasses.replace(
+                failure,
+                message=f"{failure.message}; not re-run in the "
+                        "coordinator after the circuit breaker tripped",
+                failure_class=FailureClass.DETERMINISTIC,
+            ))
+        self._run_here(runnable, outcomes, on_outcome, on_failure)
         return outcomes, drained
 
     def _run_here(self, envelopes, outcomes, on_outcome, on_failure) -> None:
@@ -528,8 +551,10 @@ class SupervisedPool:
                 if delay is not None:
                     requeue(delay, envelope)
 
-    def _sweep(self, pool, on_failure, requeue) -> None:
-        """Replace dead/wedged workers, enforce deadlines."""
+    def _sweep(self, pool, on_failure, requeue,
+               killed: Dict[int, TaskFailure]) -> None:
+        """Replace dead/wedged workers, enforce deadlines; record each
+        failed envelope's failure in *killed*."""
         now = time.monotonic()
         for i, worker in enumerate(pool):
             failure_kind = None
@@ -581,6 +606,7 @@ class SupervisedPool:
                     traceback="",
                     failure_class=FailureClass.TRANSIENT,
                 )
+            killed[envelope.index] = failure
             delay = on_failure(envelope, failure)
             if delay is not None:
                 requeue(delay, envelope)

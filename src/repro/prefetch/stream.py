@@ -14,13 +14,11 @@ store prefetch does, so the later stores need no second transaction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple
 
 
-@dataclass(frozen=True)
-class PrefetchCandidate:
-    """A prefetch the engine wants issued.
+class PrefetchCandidate(NamedTuple):
+    """A prefetch the engine wants issued (a plain tuple underneath).
 
     Attributes
     ----------
@@ -35,7 +33,8 @@ class PrefetchCandidate:
 
 
 class _Stream:
-    __slots__ = ("direction", "expected", "frontier", "exclusive", "depth")
+    __slots__ = ("direction", "expected", "frontier", "exclusive", "depth",
+                 "low", "high")
 
     def __init__(self, direction: int, start: int, exclusive: bool) -> None:
         self.direction = direction
@@ -47,6 +46,18 @@ class _Stream:
         #: Current runahead depth; ramps up as the stream proves itself
         #: (Power4 ramping), limiting overshoot on short runs.
         self.depth = 2
+        self.set_window()
+
+    def set_window(self) -> None:
+        """Cache the covered window ``low <= line <= high``: from the
+        expected line through one past the frontier, in the stream's
+        direction. Called whenever ``expected`` or ``frontier`` moves."""
+        if self.direction > 0:
+            self.low = self.expected
+            self.high = self.frontier + 1
+        else:
+            self.low = self.frontier - 1
+            self.high = self.expected
 
 
 class StreamPrefetcher:
@@ -86,83 +97,70 @@ class StreamPrefetcher:
     ) -> List[PrefetchCandidate]:
         """Feed one L2 access; returns the prefetches to issue now.
 
-        The caller filters candidates that are already cached.
+        An access inside a confirmed stream's covered window advances
+        that stream (and promotes it to MRU). Otherwise a miss at *line*
+        confirms a pending head at line∓1 into a new stream, or is
+        remembered as a pending head itself. The caller filters
+        candidates that are already cached.
         """
-        stream = self._matching_stream(line)
-        if stream is not None:
-            stream.exclusive = stream.exclusive or is_store
-            stream.expected = line + stream.direction
-            stream.depth = min(stream.depth + 1, self.runahead)
-            return self._top_up(stream, line)
+        streams = self._streams
+        for key, stream in streams.items():
+            if stream.low <= line <= stream.high:
+                # MRU promotion; returning at once makes mutating the
+                # dict mid-iteration safe.
+                streams[key] = streams.pop(key)
+                stream.exclusive = stream.exclusive or is_store
+                stream.expected = line + stream.direction
+                stream.depth = min(stream.depth + 1, self.runahead)
+                return self._top_up(stream, line)
         if not was_miss:
             return []
-        confirmed = self._try_confirm(line, is_store)
-        if confirmed is not None:
-            self.streams_confirmed += 1
-            return self._top_up(confirmed, line)
-        self._remember_miss(line, is_store)
+        pending = self._pending
+        for direction in (+1, -1):
+            head = line - direction
+            if head in pending:
+                head_was_store = pending.pop(head)
+                stream = _Stream(direction, line + direction,
+                                 is_store or head_was_store)
+                self._install(stream)
+                self.streams_confirmed += 1
+                return self._top_up(stream, line)
+        pending[line] = is_store
+        while len(pending) > 2 * self.num_streams:
+            del pending[next(iter(pending))]  # oldest-first
         return []
 
     # ------------------------------------------------------------------
     # Stream management
     # ------------------------------------------------------------------
-    def _matching_stream(self, line: int) -> Optional[_Stream]:
-        """Find a confirmed stream whose covered window contains *line*."""
-        streams = self._streams
-        for key, stream in streams.items():
-            if stream.direction > 0:
-                in_window = stream.expected <= line <= stream.frontier + 1
-            else:
-                in_window = stream.frontier - 1 <= line <= stream.expected
-            if in_window:
-                # MRU promotion; returning immediately makes mutating
-                # the dict mid-iteration safe.
-                streams[key] = streams.pop(key)
-                return stream
-        return None
-
-    def _try_confirm(self, line: int, is_store: bool) -> Optional[_Stream]:
-        """A miss at *line* confirms a pending head at line∓1, if present."""
-        for direction in (+1, -1):
-            head = line - direction
-            if head in self._pending:
-                head_was_store = self._pending.pop(head)
-                stream = _Stream(direction, line + direction, is_store or head_was_store)
-                self._install(stream)
-                return stream
-        return None
-
     def _install(self, stream: _Stream) -> None:
         while len(self._streams) >= self.num_streams:
             del self._streams[next(iter(self._streams))]  # LRU-first
         self._streams[self._next_key] = stream
         self._next_key += 1
 
-    def _remember_miss(self, line: int, is_store: bool) -> None:
-        self._pending[line] = is_store
-        while len(self._pending) > 2 * self.num_streams:
-            del self._pending[next(iter(self._pending))]  # oldest-first
-
     def _top_up(self, stream: _Stream, demand_line: int) -> List[PrefetchCandidate]:
         """Prefetch enough lines to restore the (ramped) runahead distance."""
         candidates: List[PrefetchCandidate] = []
-        target_frontier = demand_line + stream.direction * stream.depth
-        next_line = stream.frontier + stream.direction
-        if stream.direction > 0:
-            next_line = max(next_line, demand_line + 1)
+        direction = stream.direction
+        exclusive = stream.exclusive
+        target_frontier = demand_line + direction * stream.depth
+        next_line = stream.frontier + direction
+        if direction > 0:
+            if next_line <= demand_line:
+                next_line = demand_line + 1
+            while next_line <= target_frontier:
+                candidates.append(PrefetchCandidate(next_line, exclusive))
+                next_line += 1
         else:
-            next_line = min(next_line, demand_line - 1)
-        while (
-            (stream.direction > 0 and next_line <= target_frontier)
-            or (stream.direction < 0 and next_line >= target_frontier)
-        ):
-            if next_line < 0:
-                break
-            candidates.append(
-                PrefetchCandidate(line=next_line, exclusive=stream.exclusive)
-            )
-            stream.frontier = next_line
-            next_line += stream.direction
+            if next_line >= demand_line:
+                next_line = demand_line - 1
+            while next_line >= target_frontier and next_line >= 0:
+                candidates.append(PrefetchCandidate(next_line, exclusive))
+                next_line -= 1
+        if candidates:
+            stream.frontier = next_line - direction
+        stream.set_window()
         self.issued += len(candidates)
         return candidates
 

@@ -123,6 +123,12 @@ for _request in RequestType:
     _request.rp_base = _request.index * _NUM_PATHS
     #: Flat index of the request's Figure 2 oracle category.
     _request.category_index = _CATEGORY_OF[_request].index
+    #: Fill states after a snoop that found no other copy / another
+    #: copy (``fill_states[combined.shared]``), for every routing path.
+    _request.fill_states = (
+        fill_state_for(_request, SNOOP_NOT_SHARED),
+        fill_state_for(_request, SNOOP_SHARED),
+    )
 
 _NO_REQUEST_I = RequestPath.NO_REQUEST.index
 _DIRECT_I = RequestPath.DIRECT.index
@@ -134,13 +140,10 @@ _WRITEBACK_C = OracleCategory.WRITEBACK.index
 _REGION_STATES = tuple(RegionState)
 
 
-@dataclass(frozen=True, slots=True)
-class AccessOutcome:
-    """Result of one processor access (for tests and tracing)."""
-
-    path: RequestPath
-    latency: int
-    request: Optional[RequestType] = None
+#: Latency samples buffered per list before they are folded into their
+#: RunningStat: reads fold whatever is pending, so the chunk only bounds
+#: the buffers' memory.
+_FOLD_CHUNK = 1024
 
 
 class CategoryCounts:
@@ -381,6 +384,8 @@ class Machine:
             self.geometry._region_bits - self.geometry._line_bits
         )
         self._prefetch_region_filter = config.prefetch_region_filter
+        self._region_state_prefetch = config.region_state_prefetch
+        self._dram_speculation_filter = config.dram_speculation_filter
         self._build_region_snoop_tables()
         #: Bound L1 lookup methods, indexed by processor: every access
         #: starts here, so the common L1-hit path is one list index and
@@ -390,16 +395,23 @@ class Machine:
         self._l1i_lookups = [n.l1i.lookup for n in self.nodes]
         # Accounting
         self.stats = ExternalRequestStats()
-        self.demand_latency = RunningStat()
         self.l1_hits = 0
         self.l2_hits = 0
         self.queue_cycles = 0
         # Flat (request × path) arrays behind the request_paths /
-        # path_latency property views.
+        # path_latency property views. Latencies are appended to plain
+        # sample lists on the request paths and folded into their
+        # RunningStats when read (_fold_latencies): RunningStat.extend
+        # is bit-identical to one add per sample.
         self._request_path_counts: List[int] = [0] * _NUM_REQUEST_PATHS
+        self._demand_latency = RunningStat()
+        self._demand_samples: List[int] = []
         self._path_latency_stats: List[Optional[RunningStat]] = (
             [None] * _NUM_REQUEST_PATHS
         )
+        self._path_samples: List[List[int]] = [
+            [] for _ in range(_NUM_REQUEST_PATHS)
+        ]
         # Section 6 extension counters
         self.prefetches_filtered = 0
         self.dram_speculative_started = 0
@@ -742,12 +754,19 @@ class Machine:
         return counts
 
     @property
+    def demand_latency(self) -> RunningStat:
+        """Demand load/store/ifetch latency beyond the L1."""
+        self._fold_latencies()
+        return self._demand_latency
+
+    @property
     def path_latency(self) -> Dict[Tuple[RequestType, RequestPath], RunningStat]:
         """(RequestType, RequestPath) → RunningStat of external latency.
 
         A view over the preallocated per-index table; pairs appear once
         their first latency sample lands, as before.
         """
+        self._fold_latencies()
         out: Dict[Tuple[RequestType, RequestPath], RunningStat] = {}
         flat = self._path_latency_stats
         for request in RequestType:
@@ -757,6 +776,21 @@ class Machine:
                 if stat is not None:
                     out[request, path] = stat
         return out
+
+    def _fold_latencies(self) -> None:
+        """Fold every buffered latency sample into its RunningStat."""
+        samples = self._demand_samples
+        if samples:
+            self._demand_latency.extend(samples)
+            samples.clear()
+        stats = self._path_latency_stats
+        for index, samples in enumerate(self._path_samples):
+            if samples:
+                stat = stats[index]
+                if stat is None:
+                    stat = stats[index] = RunningStat()
+                stat.extend(samples)
+                samples.clear()
 
     # ------------------------------------------------------------------
     # Processor-facing operations
@@ -779,10 +813,7 @@ class Machine:
         """
         if self._tracer is not None:
             self._tracer.begin(proc, "load", address, now)
-        latency = self._l2_data_access(proc, address, now, is_store=False)
-        self.demand_latency.add(latency)
-        if self._tel_demand_hist is not None:
-            self._tel_demand_hist.observe(latency)
+        latency = self._l2_data_access(proc, address, now, False)
         if self._tracer is not None:
             self._tracer.commit(latency)
         return latency
@@ -801,10 +832,7 @@ class Machine:
         (absent line, or a SHARED copy that cannot take the write)."""
         if self._tracer is not None:
             self._tracer.begin(proc, "store", address, now)
-        latency = self._l2_data_access(proc, address, now, is_store=True)
-        self.demand_latency.add(latency)
-        if self._tel_demand_hist is not None:
-            self._tel_demand_hist.observe(latency)
+        latency = self._l2_data_access(proc, address, now, True)
         if self._tracer is not None:
             self._tracer.commit(latency)
         return max(
@@ -834,11 +862,13 @@ class Machine:
             node.l1i.fill(address, writable=False)
             latency = self._l2_hit_cycles
         else:
-            outcome = self._external_request(
+            latency = self._l2_hit_cycles + self._external_request(
                 proc, RequestType.IFETCH, address, now, fill_l1i=True
             )
-            latency = self._l2_hit_cycles + outcome.latency
-        self.demand_latency.add(latency)
+        samples = self._demand_samples
+        samples.append(latency)
+        if len(samples) >= _FOLD_CHUNK:
+            self._fold_latencies()
         if self._tel_demand_hist is not None:
             self._tel_demand_hist.observe(latency)
         if self._tracer is not None:
@@ -859,10 +889,9 @@ class Machine:
             node.l1d.fill(address, writable=True)
             self.l2_hits += 1
         else:
-            outcome = self._external_request(
+            external = self._external_request(
                 proc, RequestType.DCBZ, address, now, fill_l1d=True, l1_writable=True
             )
-            external = outcome.latency
         latency = self._l2_hit_cycles + external
         if self._tracer is not None:
             self._tracer.commit(latency)
@@ -896,8 +925,8 @@ class Machine:
                 self._emit_writeback(
                     proc, node.route_writeback_for_line(line), now
                 )
-        outcome = self._external_request(proc, request, address, now)
-        latency = self._l2_hit_cycles + outcome.latency
+        latency = self._l2_hit_cycles + self._external_request(
+            proc, request, address, now)
         if self._tracer is not None:
             self._tracer.commit(latency)
         return max(
@@ -911,7 +940,8 @@ class Machine:
     def _l2_data_access(
         self, proc: int, address: int, now: int, is_store: bool
     ) -> int:
-        """Data access below the L1; returns the full demand latency."""
+        """Data access below the L1; records and returns the full demand
+        latency."""
         node = self.nodes[proc]
         line = address >> self._line_shift
         entry = node.l2.lookup(address)
@@ -928,24 +958,28 @@ class Machine:
                 node.l1d.fill(address, writable=True)
             else:
                 # SHARED/OWNED copy: upgrade (invalidate other copies).
-                outcome = self._external_request(
+                external = self._external_request(
                     proc, RequestType.UPGRADE, address, now
                 )
-                external = outcome.latency
                 node.l1d.fill(address, writable=True)
         else:
-            request = RequestType.RFO if is_store else RequestType.READ
-            outcome = self._external_request(
+            external = self._external_request(
                 proc,
-                request,
+                RequestType.RFO if is_store else RequestType.READ,
                 address,
                 now,
                 fill_l1d=True,
                 l1_writable=is_store,
             )
-            external = outcome.latency
         self._run_prefetcher(proc, line, is_store, was_miss, now)
-        return self._l2_hit_cycles + external
+        latency = self._l2_hit_cycles + external
+        samples = self._demand_samples
+        samples.append(latency)
+        if len(samples) >= _FOLD_CHUNK:
+            self._fold_latencies()
+        if self._tel_demand_hist is not None:
+            self._tel_demand_hist.observe(latency)
+        return latency
 
     def _run_prefetcher(
         self, proc: int, line: int, is_store: bool, was_miss: bool, now: int
@@ -957,16 +991,15 @@ class Machine:
         if not candidates:
             return
         holders = self._line_holders
-        geometry = self.geometry
-        offset_bits = geometry.line_offset_bits
+        offset_bits = self._line_shift
+        max_address = self.geometry._max_address  # Geometry.contains
         rca = node.rca
         filtered = self._prefetch_region_filter and rca is not None
-        for candidate in candidates:
-            cline = candidate.line
+        for cline, exclusive in candidates:
             if (holders.get(cline, 0) >> proc) & 1:
                 continue  # already resident in this node's L2
             address = cline << offset_bits
-            if not geometry.contains(address):
+            if not 0 <= address < max_address:
                 continue
             if filtered:
                 # Section 6: externally-dirty regions make poor prefetch
@@ -979,7 +1012,7 @@ class Machine:
                     self.prefetches_filtered += 1
                     continue
             request = (
-                RequestType.PREFETCH_EX if candidate.exclusive else RequestType.PREFETCH
+                RequestType.PREFETCH_EX if exclusive else RequestType.PREFETCH
             )
             # Prefetches are non-blocking: effects and resource occupancy
             # are applied, the latency is not charged to the processor.
@@ -997,14 +1030,14 @@ class Machine:
         fill_l1d: bool = False,
         fill_l1i: bool = False,
         l1_writable: bool = False,
-    ) -> AccessOutcome:
+    ) -> int:
         """Route one external request; apply all coherence effects.
 
-        Returns the outcome with the external latency (beyond the L2
-        access the caller already charged). A small uniform jitter is
-        added to external requests (Alameldeen-style perturbation) so
-        repeated runs with different seeds explore different timing
-        interleavings; the jitter is charged as latency.
+        Returns the external latency (beyond the L2 access the caller
+        already charged). A small uniform jitter is added to external
+        requests (Alameldeen-style perturbation) so repeated runs with
+        different seeds explore different timing interleavings; the
+        jitter is charged as latency.
         """
         jitter = 0
         magnitude = self._perturb_magnitude
@@ -1042,137 +1075,110 @@ class Machine:
             self._tracer.rca(request, region, entry is not None, state, now)
 
         if state.completes_without[request.index]:
-            self.stats.no_requests._counts[category] += 1
-            self._request_path_counts[request.rp_base + _NO_REQUEST_I] += 1
-            self._apply_local_fill(
-                proc, request, address,
-                fill_state=fill_state_for(request, SNOOP_NOT_SHARED),
-                region_response=None,
-                fill_l1d=fill_l1d, fill_l1i=fill_l1i, l1_writable=l1_writable,
-                now=now, region_entry=entry,
-            )
-            if self._log_enabled:
-                self._log_event(now, proc, request, RequestPath.NO_REQUEST,
-                                address, 0)
-            if self._tracer is not None:
-                self._tracer.route(request, RequestPath.NO_REQUEST, address,
-                                   0, now)
-            return AccessOutcome(RequestPath.NO_REQUEST, 0, request)
+            return self._no_request(proc, request, address, now, fill_l1d,
+                                    fill_l1i, l1_writable, entry)
 
-        if node.rca is not None and not state.broadcast_needed[request.index]:
+        if sets is not None and not state.broadcast_needed[request.index]:
             latency = self._direct_request(proc, request, address, entry, now)
             self.stats.directs._counts[category] += 1
-            self._request_path_counts[request.rp_base + _DIRECT_I] += 1
-            self._note_latency(request, RequestPath.DIRECT, latency)
-            synthetic = SNOOP_NOT_SHARED if state.is_exclusive else SNOOP_SHARED
+            path = RequestPath.DIRECT
             self._apply_local_fill(
                 proc, request, address,
-                fill_state=fill_state_for(request, synthetic),
-                region_response=None,
-                fill_l1d=fill_l1d, fill_l1i=fill_l1i, l1_writable=l1_writable,
-                now=now, region_entry=entry,
+                request.fill_states[not state.is_exclusive],
+                None, fill_l1d, fill_l1i, l1_writable, now, entry,
             )
-            if self._log_enabled:
-                self._log_event(now, proc, request, RequestPath.DIRECT,
-                                address, latency)
-            if self._tracer is not None:
-                self._tracer.route(request, RequestPath.DIRECT, address,
-                                   latency, now)
-            return AccessOutcome(RequestPath.DIRECT, latency + jitter, request)
-
-        # RegionScout alternative (Section 2): an NSRT hit proves no other
-        # node caches lines of the region — route like a CGCT exclusive.
-        if (
+        elif (
+            # RegionScout alternative (Section 2): an NSRT hit proves no
+            # other node caches lines of the region — route like a CGCT
+            # exclusive.
             node.regionscout is not None
             and request is not RequestType.WRITEBACK
             and node.regionscout.nsrt.contains(region)
         ):
             if request in (RequestType.UPGRADE, RequestType.DCBZ,
                            RequestType.DCBF, RequestType.DCBI):
-                self.stats.no_requests._counts[category] += 1
-                self._request_path_counts[request.rp_base + _NO_REQUEST_I] += 1
-                self._apply_local_fill(
-                    proc, request, address,
-                    fill_state=fill_state_for(request, SNOOP_NOT_SHARED),
-                    region_response=None,
-                    fill_l1d=fill_l1d, fill_l1i=fill_l1i,
-                    l1_writable=l1_writable, now=now,
-                )
-                if self._log_enabled:
-                    self._log_event(now, proc, request, RequestPath.NO_REQUEST,
-                                    address, 0)
-                if self._tracer is not None:
-                    self._tracer.route(request, RequestPath.NO_REQUEST,
-                                       address, 0, now)
-                return AccessOutcome(RequestPath.NO_REQUEST, 0, request)
+                return self._no_request(proc, request, address, now,
+                                        fill_l1d, fill_l1i, l1_writable, None)
             latency = self._direct_request(proc, request, address, None, now)
             self.stats.directs._counts[category] += 1
-            self._request_path_counts[request.rp_base + _DIRECT_I] += 1
-            self._note_latency(request, RequestPath.DIRECT, latency)
+            path = RequestPath.DIRECT
             self._apply_local_fill(
                 proc, request, address,
-                fill_state=fill_state_for(request, SNOOP_NOT_SHARED),
-                region_response=None,
-                fill_l1d=fill_l1d, fill_l1i=fill_l1i, l1_writable=l1_writable,
-                now=now,
+                request.fill_states[0],
+                None, fill_l1d, fill_l1i, l1_writable, now,
             )
-            if self._log_enabled:
-                self._log_event(now, proc, request, RequestPath.DIRECT,
-                                address, latency)
-            if self._tracer is not None:
-                self._tracer.route(request, RequestPath.DIRECT, address,
-                                   latency, now)
-            return AccessOutcome(RequestPath.DIRECT, latency + jitter, request)
-
-        # Owner-prediction extension (Section 6): a read into an
-        # externally-dirty region first probes the predicted owner
-        # point-to-point; on a hit the broadcast is skipped entirely.
-        probe_penalty = 0
-        if (
-            self.config.owner_prediction
-            and entry is not None
-            and state.is_externally_dirty
-            and entry.owner_hint is not None
-            and entry.owner_hint != proc
-            and request in (RequestType.READ, RequestType.IFETCH,
-                            RequestType.PREFETCH)
-        ):
-            predicted_owner = entry.owner_hint
-            targeted = self._targeted_request(
-                proc, request, address, entry, now,
-                fill_l1d=fill_l1d, fill_l1i=fill_l1i, l1_writable=l1_writable,
-            )
-            if targeted is not None:
-                return AccessOutcome(
-                    targeted.path, targeted.latency + jitter, request
+        else:
+            # Owner-prediction extension (Section 6): a read into an
+            # externally-dirty region first probes the predicted owner
+            # point-to-point; on a hit the broadcast is skipped entirely.
+            latency = None
+            probe_penalty = 0
+            if (
+                self._owner_hints_on
+                and entry is not None
+                and state.is_externally_dirty
+                and entry.owner_hint is not None
+                and entry.owner_hint != proc
+                and request in (RequestType.READ, RequestType.IFETCH,
+                                RequestType.PREFETCH)
+            ):
+                predicted_owner = entry.owner_hint
+                latency = self._targeted_request(
+                    proc, request, address, entry, now,
+                    fill_l1d=fill_l1d, fill_l1i=fill_l1i,
+                    l1_writable=l1_writable,
                 )
-            # Wrong prediction: pay the probe's round trip, then broadcast.
-            probe_penalty = 2 * self._direct_to_proc[proc][predicted_owner]
+                path = RequestPath.TARGETED
+                if latency is None:
+                    # Wrong prediction: pay the probe's round trip, then
+                    # broadcast.
+                    probe_penalty = 2 * self._direct_to_proc[proc][
+                        predicted_owner]
+            if latency is None:
+                latency = self._broadcast_request(
+                    proc, request, address, now + probe_penalty,
+                    fill_l1d, fill_l1i, l1_writable, state, entry,
+                ) + probe_penalty
+                path = RequestPath.BROADCAST
 
-        latency = self._broadcast_request(
-            proc, request, address, now + probe_penalty,
-            fill_l1d=fill_l1d, fill_l1i=fill_l1i, l1_writable=l1_writable,
-            requestor_region_state=state, requestor_region_entry=entry,
-        )
-        latency += probe_penalty
-        self._request_path_counts[request.rp_base + _BROADCAST_I] += 1
-        self._note_latency(request, RequestPath.BROADCAST, latency)
-        if self._log_enabled:
-            self._log_event(now, proc, request, RequestPath.BROADCAST,
-                            address, latency)
-        if self._tracer is not None:
-            self._tracer.route(request, RequestPath.BROADCAST, address,
-                               latency, now)
-        return AccessOutcome(RequestPath.BROADCAST, latency + jitter, request)
-
-    def _note_latency(
-        self, request: RequestType, path: RequestPath, latency: int
-    ) -> None:
         index = request.rp_base + path.index
-        stat = self._path_latency_stats[index]
-        if stat is None:
-            stat = self._path_latency_stats[index] = RunningStat()
-        stat.add(latency)
+        self._request_path_counts[index] += 1
+        samples = self._path_samples[index]
+        samples.append(latency)
+        if len(samples) >= _FOLD_CHUNK:
+            self._fold_latencies()
+        if self._log_enabled:
+            self._log_event(now, proc, request, path, address, latency)
+        if self._tracer is not None:
+            self._tracer.route(request, path, address, latency, now)
+        return latency + jitter
+
+    def _no_request(
+        self,
+        proc: int,
+        request: RequestType,
+        address: int,
+        now: int,
+        fill_l1d: bool,
+        fill_l1i: bool,
+        l1_writable: bool,
+        entry,
+    ) -> int:
+        """Complete a request that needs no external message (latency 0)."""
+        self.stats.no_requests._counts[request.category_index] += 1
+        self._request_path_counts[request.rp_base + _NO_REQUEST_I] += 1
+        self._apply_local_fill(
+            proc, request, address,
+            request.fill_states[0],
+            None, fill_l1d, fill_l1i, l1_writable, now, entry,
+        )
+        if self._log_enabled:
+            self._log_event(now, proc, request, RequestPath.NO_REQUEST,
+                            address, 0)
+        if self._tracer is not None:
+            self._tracer.route(request, RequestPath.NO_REQUEST, address,
+                               0, now)
+        return 0
 
     def _direct_request(
         self,
@@ -1291,8 +1297,18 @@ class Machine:
         ):
             node.regionscout.nsrt.record(region)
 
-        # Oracle classification (Figure 2): was this broadcast necessary?
-        unnecessary = self._broadcast_unnecessary(request, combined)
+        # Oracle classification (Figure 2): could this broadcast have been
+        # skipped? Write-backs never need other processors; instruction
+        # fetches need a broadcast only when a remote cache owns a dirty
+        # copy (otherwise memory's copy is good); everything else (data
+        # reads/writes, prefetches, upgrades, DCB ops) is unnecessary
+        # exactly when no remote cache holds a copy.
+        if request is RequestType.WRITEBACK:
+            unnecessary = True
+        elif request is RequestType.IFETCH:
+            unnecessary = not combined.owned
+        else:
+            unnecessary = not combined.shared
         if unnecessary:
             self.stats.unnecessary_broadcasts._counts[category] += 1
         self.stats.broadcasts._counts[category] += 1
@@ -1325,22 +1341,19 @@ class Machine:
         # Latency: supplier cache, memory, or address-only.
         latency = self._broadcast_latency(
             proc, request, address, now, grant, snoop_done, combined,
-            requestor_region_state=requestor_region_state,
+            requestor_region_state,
         )
 
         # Section 6: piggyback a region-state prefetch for the adjacent
         # region onto this broadcast.
-        if node.rca is not None and self.config.region_state_prefetch:
+        if node.rca is not None and self._region_state_prefetch:
             self._prefetch_region_state(node, region + 1)
 
         # Local effects.
-        fill_state = fill_state_for(request, combined)
         self._apply_local_fill(
-            proc, request, address,
-            fill_state=fill_state,
-            region_response=region_response,
-            fill_l1d=fill_l1d, fill_l1i=fill_l1i, l1_writable=l1_writable,
-            now=now, region_entry=requestor_region_entry,
+            proc, request, address, request.fill_states[combined.shared],
+            region_response, fill_l1d, fill_l1i, l1_writable, now,
+            requestor_region_entry,
         )
         # Remember who owned the region's dirty data (owner prediction).
         # Advisory and unread unless the Section 6 extension is on.
@@ -1573,12 +1586,13 @@ class Machine:
         fill_l1d: bool = False,
         fill_l1i: bool = False,
         l1_writable: bool = False,
-    ) -> Optional[AccessOutcome]:
+    ) -> Optional[int]:
         """Probe the predicted owner point-to-point (Section 6 extension).
 
         Only non-invalidating reads are eligible (invalidating requests
         must reach every cache). A hit sources the data cache-to-cache
-        without a broadcast; a miss clears the hint and returns ``None``
+        without a broadcast and returns its latency (the caller records
+        the TARGETED path); a miss clears the hint and returns ``None``
         so the caller falls back to the conventional path. Either way the
         probe's line snoop is an ordinary coherent snoop — a wrong probe
         may demote the target's copy, which is conservative, not wrong.
@@ -1601,22 +1615,12 @@ class Machine:
             + self._transfer_to_proc[proc][owner]
         )
         self.stats.directs._counts[request.category_index] += 1
-        self._request_path_counts[request.rp_base + _TARGETED_I] += 1
-        self._note_latency(request, RequestPath.TARGETED, latency)
         self._apply_local_fill(
             proc, request, address,
-            fill_state=fill_state_for(request, SNOOP_SHARED),
-            region_response=None,
-            fill_l1d=fill_l1d, fill_l1i=fill_l1i, l1_writable=l1_writable,
-            now=now, region_entry=entry,
+            request.fill_states[1],
+            None, fill_l1d, fill_l1i, l1_writable, now, entry,
         )
-        if self._log_enabled:
-            self._log_event(now, proc, request, RequestPath.TARGETED,
-                            address, latency)
-        if self._tracer is not None:
-            self._tracer.route(request, RequestPath.TARGETED, address,
-                               latency, now)
-        return AccessOutcome(RequestPath.TARGETED, latency, request)
+        return latency
 
     def _broadcast_latency(
         self,
@@ -1643,7 +1647,7 @@ class Machine:
         # of a full serial DRAM latency when the prediction is wrong.
         speculate = True
         if (
-            self.config.dram_speculation_filter
+            self._dram_speculation_filter
             and requestor_region_state.is_externally_dirty
         ):
             speculate = False
@@ -1707,22 +1711,6 @@ class Machine:
             )
         node.rca.insert(region, state, self.address_map.home_of_region(region))
         self.region_prefetches += 1
-
-    @staticmethod
-    def _broadcast_unnecessary(request: RequestType, combined: SnoopResult) -> bool:
-        """Oracle: could this broadcast have been skipped (Figure 2)?
-
-        * Write-backs never need other processors.
-        * Instruction fetches only need a broadcast when a remote cache
-          owns a dirty copy — otherwise memory's copy is good.
-        * Everything else (data reads/writes, prefetches, upgrades, DCB
-          ops) is unnecessary exactly when no remote cache holds a copy.
-        """
-        if request is RequestType.WRITEBACK:
-            return True
-        if request is RequestType.IFETCH:
-            return not combined.owned
-        return not combined.shared
 
     # ------------------------------------------------------------------
     # Local fills and region-state maintenance
@@ -1817,14 +1805,28 @@ class Machine:
             return
         if not request.allocates_line:
             return
-        writebacks = node.fill_line(
-            address, fill_state,
-            fill_l1d=fill_l1d, fill_l1i=fill_l1i, l1_writable=l1_writable,
-        )
+        # Install the line: the L2 fill (whose removal/allocation hooks
+        # keep the RCA counts and presence masks), the victim's L1
+        # back-invalidations (inclusion) and castout routing, then the
+        # L1 fills; the castout leaves last. The caller allocated the
+        # region entry above, so the allocation hook finds it.
+        castout = None
+        victim = node.l2.fill(address, fill_state)
+        if victim is not None:
+            victim_line = victim.line
+            node.l1d.back_invalidate(victim_line)
+            node.l1i.back_invalidate(victim_line)
+            if victim.state.is_dirty:
+                castout = node.route_writeback_for_line(victim_line)
+        if fill_l1d:
+            node.l1d.fill(address, l1_writable)
+        if fill_l1i:
+            node.l1i.fill(address, False)
         if self._tracer is not None:
-            self._tracer.fill(now, fill_state.name, len(writebacks))
-        for writeback in writebacks:
-            self._emit_writeback(proc, writeback, now)
+            self._tracer.fill(now, fill_state.name,
+                              0 if castout is None else 1)
+        if castout is not None:
+            self._emit_writeback(proc, castout, now)
 
     def _emit_writeback(
         self, proc: int, writeback: PendingWriteback, now: int
@@ -2087,12 +2089,15 @@ class Machine:
         only the measurements restart.
         """
         self.stats = ExternalRequestStats()
-        self.demand_latency = RunningStat()
         self.l1_hits = 0
         self.l2_hits = 0
         self.queue_cycles = 0
         self._request_path_counts = [0] * _NUM_REQUEST_PATHS
+        self._demand_latency = RunningStat()
+        self._demand_samples.clear()
         self._path_latency_stats = [None] * _NUM_REQUEST_PATHS
+        for samples in self._path_samples:
+            samples.clear()
         self.prefetches_filtered = 0
         self.dram_speculative_started = 0
         self.dram_speculative_wasted = 0

@@ -11,11 +11,10 @@ knows its own state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.cache.l1 import L1Cache
-from repro.cache.l2 import EvictedLine, L2Cache
+from repro.cache.l2 import L2Cache
 from repro.coherence.line_states import LineState
 from repro.coherence.moesi import snoop_transition
 from repro.coherence.requests import RequestType
@@ -65,8 +64,7 @@ from repro.rca.states import RegionState
 from repro.system.config import SystemConfig
 
 
-@dataclass(frozen=True)
-class PendingWriteback:
+class PendingWriteback(NamedTuple):
     """A dirty line leaving this node that must reach memory.
 
     ``home_mc`` is the memory controller recorded in the line's region
@@ -134,38 +132,8 @@ class ProcessorNode:
             )
 
     # ------------------------------------------------------------------
-    # Local fills (requestor side)
+    # Castout routing (requestor side)
     # ------------------------------------------------------------------
-    def fill_line(
-        self,
-        address: int,
-        state: LineState,
-        fill_l1d: bool = False,
-        fill_l1i: bool = False,
-        l1_writable: bool = False,
-    ) -> List[PendingWriteback]:
-        """Install a line in the L2 (and optionally an L1).
-
-        Returns write-backs generated by the L2 victim, routed with the
-        victim's region information when available. The caller must have
-        allocated a region entry for the *incoming* line first when CGCT
-        is enabled (the L2 callback asserts the inclusion property).
-        """
-        writebacks: List[PendingWriteback] = []
-        victim = self.l2.fill(address, state)
-        if victim is not None:
-            self._drop_from_l1s(victim.line)
-            if victim.needs_writeback:
-                writebacks.append(self._route_writeback(victim))
-        if fill_l1d:
-            self.l1d.fill(address, writable=l1_writable)
-        if fill_l1i:
-            self.l1i.fill(address, writable=False)
-        return writebacks
-
-    def _route_writeback(self, victim: EvictedLine) -> PendingWriteback:
-        return self.route_writeback_for_line(victim.line)
-
     def route_writeback_for_line(self, line: int) -> PendingWriteback:
         """Route a castout of *line* using the region's recorded home MC.
 

@@ -8,11 +8,13 @@ stall fully; the machine internally charges stores, DCB operations and
 prefetches only their partial-overlap share (see
 :class:`~repro.system.config.TimingParameters`).
 
-Besides the one-operation :meth:`TraceProcessor.step` the class builds
-``run_ahead``: the stepping loop's streak primitive that keeps stepping
-this processor — L1 hits through a fully inlined private path — for as
-long as the global event order provably wants this processor next (see
-:meth:`~repro.system.simulator.Simulator._run_until`).
+The stepping loop runs every pop through ``run_ahead``: the streak
+primitive that steps this processor — L1 hits through a fully inlined
+private path — for as long as the global event order provably wants
+this processor next (see
+:meth:`~repro.system.simulator.Simulator._run_until`). The
+one-operation :meth:`TraceProcessor.step` serves the runs that must see
+every step boundary (step observer, sanitizer, tracer).
 """
 
 from __future__ import annotations
@@ -100,12 +102,11 @@ class TraceProcessor:
         """Build this processor's streak stepper.
 
         The returned ``run_ahead(stop_time, stop_pid, target,
-        sample_bound)`` is called by the stepping loop after the popped
-        processor's mandatory step, once it has checked that the next
-        operation may run: it executes that operation unconditionally,
-        then keeps going while the *next* issue key ``(next_time,
-        proc_id)`` stays strictly below ``(stop_time, stop_pid)`` — the
-        loop's current heap-top key — and ``next_time`` stays below
+        sample_bound)`` is called by the stepping loop for every pop: it
+        executes the popped operation unconditionally, then keeps going
+        while the *next* issue key ``(next_time, proc_id)`` stays
+        strictly below ``(stop_time, stop_pid)`` — the loop's current
+        heap-top key — and ``next_time`` stays below
         ``sample_bound`` (the next telemetry interval boundary, or
         ``NO_BOUND``). Within that window every step is exactly the
         operation a one-step-per-pick loop would execute next, so the

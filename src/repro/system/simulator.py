@@ -238,23 +238,25 @@ class Simulator:
         Each pop samples telemetry if the issue time crossed the next
         interval boundary (issue times are non-decreasing, so the sample
         captures exactly the events of the closed window; without
-        telemetry the boundary is ``NO_BOUND``), calls the step
-        observer, takes the mandatory step, and counts the sanitizer's
-        audit stride. Then, if the processor's next key still undercuts
-        the heap top and the sample boundary, it runs a *streak*
-        (:meth:`TraceProcessor.build_run_ahead`) bounded by both: the
-        streak executes exactly the steps this loop would pop next, so
-        ordering — and every result bit — is unchanged; only the heap
-        traffic and per-step call chain disappear. An equal-time tie
-        streaks only while the popped processor's id is the lower one.
-        A streak that stops at the sample boundary re-enters the heap as
-        the minimum, and the sample fires on its re-pop, at the same
-        step boundary and with the same counter values as a single-step
-        loop. With an empty heap (the last active processor) the streak
-        is bounded by the sample boundary and the target alone.
+        telemetry the boundary is ``NO_BOUND``), then runs a *streak*
+        (:meth:`TraceProcessor.build_run_ahead`): the popped operation
+        unconditionally, then every further operation of the same
+        processor while its key stays below the heap top and below the
+        sample boundary. The streak executes exactly the steps this loop
+        would pop next, so ordering — and every result bit — is
+        unchanged; only the heap traffic and per-step call chain
+        disappear. An equal-time tie streaks only while the popped
+        processor's id is the lower one. A streak that stops at the
+        sample boundary re-enters the heap as the minimum, and the
+        sample fires on its re-pop, at the same step boundary and with
+        the same counter values as a single-step loop. With an empty
+        heap (the last active processor) the streak is bounded by the
+        sample boundary and the target alone.
 
-        Streaks are off while a step observer, a sanitizer or a tracer
-        is attached: each needs to see every step boundary.
+        A step observer, a sanitizer or a tracer needs to see every step
+        boundary: with any of them attached each pop takes one plain
+        :meth:`TraceProcessor.step` instead, with the observer called
+        before it and the sanitizer's audit stride counted after it.
         """
         telemetry = self.telemetry
         observe = self.step_observer
@@ -281,38 +283,28 @@ class Simulator:
         # The re-push key is next_time inlined (clock + gap of the next
         # op) and the continue check is ``index < target`` alone: targets
         # never exceed trace length, so the ``done`` test is subsumed.
-        # The streak is entered only when it will run at least one step,
-        # so a pop without one (the common case at high processor
-        # counts) costs a single-step loop plus a few integer compares.
         while heap:
             issue_time, proc_id, soonest = heappop(heap)
             if issue_time >= next_sample:
                 telemetry.maybe_sample(issue_time)
                 next_sample = telemetry.next_sample_time
-            if observe is not None:
-                observe(proc_id)
-            soonest.step()
-            if sanitizer is not None:
-                budget -= 1
-                if budget <= 0:
-                    sanitizer.check(soonest.clock)
-                    budget = stride
-            i = soonest.index
             target = targets[proc_id]
-            if i >= target:
-                continue
-            next_time = soonest.clock + soonest._gaps[i]
-            if streaks and next_time < next_sample:
+            if streaks:
                 top_time, top_pid, _ = heap[0] if heap else empty_top
-                if next_time < top_time or (
-                    next_time == top_time and proc_id < top_pid
-                ):
-                    run_ahead[proc_id](top_time, top_pid, target, next_sample)
-                    i = soonest.index
-                    if i >= target:
-                        continue
-                    next_time = soonest.clock + soonest._gaps[i]
-            heappush(heap, (next_time, proc_id, soonest))
+                run_ahead[proc_id](top_time, top_pid, target, next_sample)
+            else:
+                if observe is not None:
+                    observe(proc_id)
+                soonest.step()
+                if sanitizer is not None:
+                    budget -= 1
+                    if budget <= 0:
+                        sanitizer.check(soonest.clock)
+                        budget = stride
+            i = soonest.index
+            if i < target:
+                heappush(heap, (soonest.clock + soonest._gaps[i], proc_id,
+                                soonest))
 
     def _collect(
         self,

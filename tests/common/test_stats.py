@@ -227,3 +227,76 @@ class TestRunningStatPercentiles:
         assert merged.count == combined.count
         assert merged.mean == pytest.approx(combined.mean)
         assert merged.variance == pytest.approx(combined.variance)
+
+
+def _state(stat):
+    """Every field of a RunningStat, floats by their exact bits."""
+    def bits(value):
+        return value.hex() if isinstance(value, float) else value
+
+    return (
+        stat.count, bits(stat.mean), bits(stat._m2), bits(stat.minimum),
+        bits(stat.maximum), stat.sample_limit, stat._stride,
+        [bits(v) for v in stat._samples],
+        [type(v) for v in stat._samples],
+        type(stat.minimum), type(stat.maximum),
+    )
+
+
+_VALUES = st.lists(
+    st.one_of(
+        st.integers(min_value=-10**6, max_value=10**6),
+        st.floats(min_value=-1e9, max_value=1e9, allow_nan=False),
+    ),
+    max_size=120,
+)
+
+
+class TestRunningStatExtend:
+    """``extend`` folds buffered samples later: it must leave exactly the
+    state an ``add`` per sample leaves, bit for bit."""
+
+    @given(before=_VALUES, values=_VALUES,
+           limit=st.sampled_from([0, 1, 2, 3, 8, 1024]))
+    def test_extend_equals_an_add_loop(self, before, values, limit):
+        # Small limits decimate the retained samples (and double the
+        # stride) many times over; limit 0 retains none.
+        folded = RunningStat(sample_limit=limit)
+        added = RunningStat(sample_limit=limit)
+        for value in before:
+            folded.add(value)
+            added.add(value)
+        folded.extend(values)
+        for value in values:
+            added.add(value)
+        assert _state(folded) == _state(added)
+
+    @given(chunks=st.lists(_VALUES, max_size=6),
+           limit=st.sampled_from([0, 2, 5, 1024]))
+    def test_chunked_extends_equal_an_add_loop(self, chunks, limit):
+        folded = RunningStat(sample_limit=limit)
+        added = RunningStat(sample_limit=limit)
+        for chunk in chunks:
+            folded.extend(chunk)
+            for value in chunk:
+                added.add(value)
+        assert _state(folded) == _state(added)
+
+    def test_extending_with_nothing_changes_nothing(self):
+        stat = RunningStat()
+        stat.extend([])
+        assert _state(stat) == _state(RunningStat())
+        stat.add(3)
+        before = _state(stat)
+        stat.extend(iter(()))
+        assert _state(stat) == before
+
+    def test_decimation_past_the_limit(self):
+        folded = RunningStat(sample_limit=4)
+        folded.extend(range(10))
+        added = RunningStat(sample_limit=4)
+        for value in range(10):
+            added.add(value)
+        assert folded._stride == added._stride == 4
+        assert folded._samples == added._samples == [0, 4, 8]
+        assert _state(folded) == _state(added)

@@ -86,7 +86,7 @@ from repro.conformance import campaign
 real = campaign._execute_task
 
 def execute(task):
-    if task.index == 1:
+    if {crashes}:
         os._exit(9)
     return real(task)
 
@@ -102,20 +102,38 @@ print(json.dumps({{
 """
 
 
-def test_worker_killing_iteration_is_reported_and_campaign_returns():
-    """An iteration that kills every worker it runs in spends its retry
-    budget and becomes one reported failure; the coordinator never runs
-    it itself, so the campaign survives to report."""
-    script = _CRASH_SCRIPT.format(ops=OPS, configs=CONFIGS)
+def crash_campaign(crashes: str) -> dict:
+    """Run a 3-iteration, 2-worker campaign in a fresh interpreter whose
+    iterations call ``os._exit(9)`` where *crashes* holds; its report."""
+    script = _CRASH_SCRIPT.format(ops=OPS, configs=CONFIGS, crashes=crashes)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_worker_killing_iteration_is_reported_and_campaign_returns():
+    """An iteration that kills every worker it runs in spends its retry
+    budget and becomes one reported failure; the coordinator never runs
+    it itself, so the campaign survives to report."""
+    report = crash_campaign("task.index == 1")
     assert report["iterations"] == 3
     assert report["cells"] == 4
     assert len(report["failures"]) == 1
     assert report["mismatches"][0].startswith("harness error: WorkerCrash")
+
+
+def test_tripped_breaker_gives_up_worker_killing_iterations():
+    """When every iteration kills its worker the circuit breaker trips
+    with retries still queued; the coordinator gives each of those up as
+    one failure instead of running it (which would kill it too)."""
+    report = crash_campaign("True")
+    assert report["iterations"] == 3
+    assert report["cells"] == 0
+    assert len(report["failures"]) == 3
+    assert all(m.startswith("harness error: WorkerCrash")
+               for m in report["mismatches"])
 
 
 def test_checkpoint_resume_skips_completed_iterations(tmp_path,

@@ -81,3 +81,35 @@ def test_check_invariants_flag_runs_clean(capsys, tmp_path):
                  "--check-invariants", "sampled", "--no-cache",
                  "--runlog", str(tmp_path / "run.jsonl")]) == 0
     assert "AVERAGE" in capsys.readouterr().out
+
+
+def test_warm_sweep_fingerprints_each_config_once(tmp_path, capsys,
+                                                  monkeypatch):
+    # A warm sweep renders from the cache warm_cache filled: every cell
+    # is hashed by config, and each distinct config is digested once per
+    # process however many cells, lookups and experiments share it.
+    import repro.harness.cache as cache_module
+    from repro.harness.experiments import RunOptions
+    from repro.harness.parallel import experiment_tasks
+
+    experiments = ["fig2", "fig7", "fig8"]
+    argv = [*experiments, "--quick", "--ops", "200",
+            "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+
+    digests = []
+    digest = cache_module._config_digest
+    monkeypatch.setattr(cache_module, "_FINGERPRINTS", {})
+    monkeypatch.setattr(cache_module, "_config_digest",
+                        lambda config: digests.append(config)
+                        or digest(config))
+    assert main(argv) == 0
+    warm = capsys.readouterr().out
+
+    tasks = experiment_tasks(experiments,
+                             RunOptions(ops_per_processor=200).quick())
+    assert len(digests) == len({repr(task.config) for task in tasks}) == 4
+    strip = (lambda out: [line for line in out.splitlines()
+                          if "finished in" not in line])
+    assert strip(warm) == strip(cold)

@@ -43,7 +43,7 @@ class TestNodeOddPaths:
         node = ProcessorNode(0, make_config(cgct=True, rca_sets=64))
         node.rca.insert(5, RegionState.DIRTY_INVALID, home_mc=0)
         address = 5 * 512
-        node.fill_line(address, LineState.MODIFIED)
+        node.l2.fill(address, LineState.MODIFIED)
         before = node.rca.probe(5).state
         response = node.probe_region_response(5)
         assert response.dirty

@@ -5,6 +5,7 @@ import pytest
 from repro.coherence.line_states import L1State, LineState
 from repro.coherence.requests import RequestType
 from repro.rca.states import RegionState
+from repro.system.machine import Machine, OracleCategory
 from repro.system.node import ProcessorNode
 
 from tests.conftest import make_config
@@ -36,45 +37,53 @@ class TestConstruction:
         assert with_pf.prefetcher is not None
 
 
+def conflict_misses(machine):
+    """Store line 0, then load two lines of the same L2 set: the third
+    fill evicts the dirty line 0. Returns the L2's set stride."""
+    node = machine.nodes[0]
+    stride = node.l2.num_sets * machine.geometry.line_bytes
+    machine.store(0, 0, now=0)
+    machine.load(0, stride, now=1000)
+    machine.load(0, 2 * stride, now=2000)
+    return stride
+
+
 class TestFillsAndInclusion:
     def test_fill_updates_region_line_count(self, node):
         region = geom(node).region_of(0x1000)
         node.rca.insert(region, RegionState.DIRTY_INVALID, home_mc=0)
-        node.fill_line(0x1000, LineState.MODIFIED, fill_l1d=True,
-                       l1_writable=True)
+        node.l2.fill(0x1000, LineState.MODIFIED)
+        node.l1d.fill(0x1000, writable=True)
         assert node.rca.probe(region).line_count == 1
         assert node.l1d.state_of(0x1000) is L1State.MODIFIED
         node.check_inclusion()
 
-    def test_l2_victim_back_invalidates_l1(self, plain_node):
-        node = plain_node
-        stride = node.l2.num_sets * geom(node).line_bytes
-        node.fill_line(0, LineState.SHARED, fill_l1d=True)
-        node.fill_line(stride, LineState.SHARED, fill_l1d=True)
-        node.fill_line(2 * stride, LineState.SHARED, fill_l1d=True)
+    def test_l2_victim_back_invalidates_l1(self):
+        # The L1 has ways to spare: only the L2 victim's
+        # back-invalidation can drop line 0 from it.
+        machine = Machine(make_config(cgct=False))
+        conflict_misses(machine)
+        node = machine.nodes[0]
+        assert node.l2.peek(0) is None
         assert node.l1d.state_of(0) is L1State.INVALID
         node.check_inclusion()
 
-    def test_dirty_victim_produces_writeback(self, plain_node):
-        node = plain_node
-        stride = node.l2.num_sets * geom(node).line_bytes
-        node.fill_line(0, LineState.MODIFIED)
-        node.fill_line(stride, LineState.SHARED)
-        writebacks = node.fill_line(2 * stride, LineState.SHARED)
-        assert len(writebacks) == 1
-        assert writebacks[0].line == 0
-        assert writebacks[0].home_mc is None  # baseline cannot route
+    def test_dirty_victim_produces_writeback(self):
+        machine = Machine(make_config(cgct=False))
+        conflict_misses(machine)
+        assert machine.nodes[0].l2.writebacks == 1
+        # The baseline cannot route the castout: it broadcasts.
+        assert machine.stats.broadcasts[OracleCategory.WRITEBACK] == 1
+        assert machine.stats.directs[OracleCategory.WRITEBACK] == 0
 
-    def test_cgct_writeback_carries_home_mc(self, node):
-        g = geom(node)
-        stride = node.l2.num_sets * g.line_bytes
-        for i, address in enumerate((0, stride, 2 * stride)):
-            node.rca.insert(g.region_of(address), RegionState.DIRTY_INVALID,
-                            home_mc=7)
-        node.fill_line(0, LineState.MODIFIED)
-        node.fill_line(stride, LineState.SHARED)
-        writebacks = node.fill_line(2 * stride, LineState.SHARED)
-        assert writebacks[0].home_mc == 7
+    def test_cgct_writeback_carries_home_mc(self):
+        machine = Machine(make_config(cgct=True, rca_sets=256))
+        conflict_misses(machine)
+        home = machine.address_map.home_of(0)
+        assert machine.nodes[0].rca.probe(0).home_mc == home
+        assert machine.stats.directs[OracleCategory.WRITEBACK] == 1
+        assert machine.stats.broadcasts[OracleCategory.WRITEBACK] == 0
+        assert machine.controllers[home].writes == 1
 
 
 class TestRegionAllocation:
@@ -92,7 +101,7 @@ class TestRegionAllocation:
         for region in regions[:2]:
             node.rca.insert(region, RegionState.DIRTY_INVALID, home_mc=3)
         dirty_address = list(g.region_addresses(regions[0]))[0]
-        node.fill_line(dirty_address, LineState.MODIFIED)
+        node.l2.fill(dirty_address, LineState.MODIFIED)
         # Region[1] is empty ⇒ preferred victim; region[0] keeps its line.
         entry2, writebacks = node.allocate_region(
             regions[2], RegionState.CLEAN_INVALID, home_mc=3)
@@ -101,7 +110,7 @@ class TestRegionAllocation:
         assert node.rca.probe(regions[1]) is None
         # Give the new region a line too, so the next allocation cannot
         # find an empty victim and must flush LRU region[0].
-        node.fill_line(list(g.region_addresses(regions[2]))[0], LineState.SHARED)
+        node.l2.fill(list(g.region_addresses(regions[2]))[0], LineState.SHARED)
         _entry, writebacks = node.allocate_region(
             regions[0] + 3 * sets, RegionState.CLEAN_INVALID, home_mc=3)
         assert [w.line for w in writebacks] == [g.line_of(dirty_address)]
@@ -119,7 +128,8 @@ class TestLineSnoops:
     def test_read_snoop_of_modified_supplies_and_demotes(self, node):
         g = geom(node)
         node.rca.insert(g.region_of(0), RegionState.DIRTY_INVALID, home_mc=0)
-        node.fill_line(0, LineState.MODIFIED, fill_l1d=True, l1_writable=True)
+        node.l2.fill(0, LineState.MODIFIED)
+        node.l1d.fill(0, writable=True)
         response, wrote_back = node.snoop_line(0, RequestType.READ)
         assert response.cached and response.dirty and response.supplied
         assert not wrote_back
@@ -129,7 +139,8 @@ class TestLineSnoops:
     def test_rfo_snoop_invalidates_through_l1(self, node):
         g = geom(node)
         node.rca.insert(g.region_of(0), RegionState.DIRTY_INVALID, home_mc=0)
-        node.fill_line(0, LineState.MODIFIED, fill_l1d=True, l1_writable=True)
+        node.l2.fill(0, LineState.MODIFIED)
+        node.l1d.fill(0, writable=True)
         response, _ = node.snoop_line(0, RequestType.RFO)
         assert response.supplied
         assert node.l2.peek(0) is None
@@ -139,7 +150,7 @@ class TestLineSnoops:
     def test_dcbf_snoop_writes_back(self, node):
         g = geom(node)
         node.rca.insert(g.region_of(0), RegionState.DIRTY_INVALID, home_mc=0)
-        node.fill_line(0, LineState.MODIFIED)
+        node.l2.fill(0, LineState.MODIFIED)
         _response, wrote_back = node.snoop_line(0, RequestType.DCBF)
         assert wrote_back
         assert node.l2.peek(0) is None
@@ -158,7 +169,7 @@ class TestRegionSnoops:
         g = geom(node)
         node.rca.insert(5, RegionState.DIRTY_INVALID, home_mc=0)
         address = list(g.region_addresses(5))[0]
-        node.fill_line(address, LineState.MODIFIED)
+        node.l2.fill(address, LineState.MODIFIED)
         response = node.snoop_region(5, RequestType.READ, False)
         assert response.dirty
         assert node.rca.probe(5).state is RegionState.DIRTY_CLEAN

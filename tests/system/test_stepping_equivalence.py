@@ -251,6 +251,63 @@ def test_randomized_traces(data, seed, cgct, telemetry, observe, warmup):
                       telemetry=telemetry, observe=observe, warmup=warmup)
 
 
+#: Machine shapes for the popped-operation cases, by processor count.
+SHAPES = {
+    1: Topology(cores_per_chip=1, chips_per_switch=1,
+                switches_per_board=1, boards=1),
+    2: Topology(cores_per_chip=2, chips_per_switch=1,
+                switches_per_board=1, boards=1),
+    4: Topology(),
+    32: Topology(cores_per_chip=2, chips_per_switch=2,
+                 switches_per_board=2, boards=4),
+}
+
+
+def popped_workload(procs, kind):
+    """Traces whose every popped operation is of one *kind*.
+
+    ``dcb``: DCBZ/DCBF/DCBI (no L1-hit path) mixed with stores and loads
+    on a few lines every processor shares. ``miss``: loads, stores and
+    fetches of lines no processor touched before, so every access misses
+    its L1. ``tie``: every processor issues the same operations with the
+    same gaps, so issue times tie exactly and only the processor id
+    orders them.
+    """
+    dcb_ops = [TraceOp.DCBZ, TraceOp.LOAD, TraceOp.DCBF, TraceOp.STORE,
+               TraceOp.DCBI]
+    miss_ops = [TraceOp.LOAD, TraceOp.STORE, TraceOp.IFETCH]
+    per_proc = []
+    for proc in range(procs):
+        records = []
+        for i in range(15):
+            if kind == "dcb":
+                records.append((dcb_ops[i % 5], 0x40000 + (i % 3) * 64,
+                                2 + (proc + i) % 4))
+            elif kind == "miss":
+                address = 0x100000 + (proc * 64 + i) * 4096
+                records.append((miss_ops[i % 3], address, 1 + i % 3))
+            else:
+                records.append((dcb_ops[i % 5] if i % 2 else TraceOp.LOAD,
+                                0x40000 + (i % 4) * 64, 4))
+        per_proc.append(records)
+    return multitrace(per_proc)
+
+
+class TestPoppedOperations:
+    """The popped operation itself is the first step of every streak:
+    DCB operations, L1 misses and exact time ties at 1 to 32 processors
+    must step as the reference does."""
+
+    @pytest.mark.parametrize("kind", ["dcb", "miss", "tie"])
+    @pytest.mark.parametrize("procs", sorted(SHAPES))
+    @pytest.mark.parametrize("cgct", [False, True])
+    def test_matches_reference(self, kind, procs, cgct):
+        config = make_config(cgct=cgct, topology=SHAPES[procs])
+        workload = popped_workload(procs, kind)
+        assert_equivalent(config, workload)
+        assert_equivalent(config, workload, warmup=WARMUP, telemetry=True)
+
+
 class TestSixteenProcessorStepping:
     """Scaling-machine equivalence; CI selects this class by name."""
 
