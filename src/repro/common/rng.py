@@ -12,8 +12,10 @@ stream seen by another.
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def derive_seed(root_seed: int, *scope: object) -> int:
@@ -38,6 +40,10 @@ def make_rng(root_seed: int, *scope: object) -> np.random.Generator:
     """Return a :class:`numpy.random.Generator` for the given scope.
 
     Uses PCG64, NumPy's default bit generator, seeded via
-    :func:`derive_seed`.
+    :func:`derive_seed`. numpy is imported here, not at module level:
+    seed derivation is on every entry point's start-up path and needs
+    none of it.
     """
+    import numpy as np
+
     return np.random.default_rng(derive_seed(root_seed, *scope))

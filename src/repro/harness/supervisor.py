@@ -260,6 +260,17 @@ class TaskFailure:
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
+def preload_numpy() -> None:
+    """Import numpy in this process before it forks workers.
+
+    Every cell a forked process runs builds or loads numpy trace arrays.
+    The package imports numpy only where it builds one, so a process
+    that forks before its first trace would leave every worker to import
+    it on its own (about 0.1 s each); imported here, it is shared.
+    """
+    import numpy  # noqa: F401
+
+
 def _worker_main(execute, inbox, results, heartbeat_interval: float) -> None:
     """Worker loop: recv envelope, execute, send outcome; beat meanwhile."""
     lock = threading.Lock()
@@ -421,6 +432,7 @@ class SupervisedPool:
                 (time.monotonic() + max(0.0, delay), seq, envelope),
             )
 
+        preload_numpy()
         pool: List[_Worker] = [
             self._spawn() for _ in range(min(self.workers, len(ready)))
         ]

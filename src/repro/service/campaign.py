@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Union
 from repro.common.errors import HarnessError
 from repro.harness.cache import DiskCache, code_version
 from repro.harness.runlog import RunLog
-from repro.harness.supervisor import RetryPolicy
+from repro.harness.supervisor import RetryPolicy, preload_numpy
 from repro.obs.wallclock import WallSpanRecorder
 from repro.service.cells import (
     campaign_cells,
@@ -247,6 +247,7 @@ class CampaignService:
         degradations = 0
         try:
             ctx = _mp_context()
+            preload_numpy()  # shared by every fleet this run forks
             while True:
                 self.queue.refresh()
                 status = self.queue.status(campaign)

@@ -34,13 +34,14 @@ import hashlib
 import json
 import random
 from dataclasses import asdict, dataclass, field
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import derive_seed
 from repro.workloads.trace import MultiTrace, Trace, TraceOp
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Address-space layout (well inside the 40-bit physical space).
 CODE_BASE = 0x01_0000_0000
@@ -95,6 +96,8 @@ def physical_addresses(virtual: np.ndarray) -> np.ndarray:
     uint64 multiplication wraps modulo 2**64, which is exactly the
     scalar version's ``& _U64``.
     """
+    import numpy as np
+
     vpage = virtual >> np.uint64(12)
     phys_page = (vpage * np.uint64(_PAGE_HASH_MULTIPLIER)) \
         >> np.uint64(64 - _PHYS_PAGE_BITS)
@@ -321,6 +324,8 @@ class _ProcessorStream:
     # ------------------------------------------------------------------
     def generate(self, n_ops: int) -> Trace:
         """Emit this processor's trace of exactly n_ops records."""
+        import numpy as np
+
         phases = self._phase_boundaries(n_ops)
         for phase, start, end in phases:
             mean_gap = (

@@ -52,8 +52,6 @@ import tempfile
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-import numpy as np
-
 from repro.common.digest import source_digest
 from repro.workloads.trace import MultiTrace, Trace
 
@@ -152,6 +150,8 @@ class WorkloadStore:
         """
         if not self.enabled:
             return None
+        import numpy as np
+
         entry = self._entry_dir(key)
         meta_path = entry / "meta.json"
         try:
@@ -194,6 +194,8 @@ class WorkloadStore:
         entry = self._entry_dir(key)
         if (entry / "meta.json").exists():
             return
+        import numpy as np
+
         entry.parent.mkdir(parents=True, exist_ok=True)
         staging = Path(tempfile.mkdtemp(
             dir=str(entry.parent), prefix=".staging-"))

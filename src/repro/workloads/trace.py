@@ -10,6 +10,10 @@ Workloads can be persisted with :meth:`MultiTrace.save` /
 :meth:`MultiTrace.load` (compressed ``.npz``), so expensive generated
 traces — or traces converted from external tools — can be replayed
 without regeneration.
+
+numpy is imported inside the functions that build, convert or persist
+arrays, not at module level: a warm sweep or a ``--help`` imports this
+module for its types and never touches an array.
 """
 
 from __future__ import annotations
@@ -18,12 +22,13 @@ import enum
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Sequence, Union
 
 from repro.common.errors import SimulationError
 from repro.memory.geometry import Geometry
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class TraceOp(enum.IntEnum):
@@ -130,6 +135,8 @@ class Trace:
             object.__setattr__(self, "_line_lists", cache)
         lines = cache.get(line_shift)
         if lines is None:
+            import numpy as np
+
             lines = np.right_shift(
                 self.addresses, np.uint64(line_shift)
             ).tolist()
@@ -153,6 +160,8 @@ class Trace:
                 raise SimulationError(
                     f"trace {name}: negative address {address}"
                 )
+        import numpy as np
+
         return Trace(
             ops=np.array([int(op) for op in ops], dtype=np.uint8),
             addresses=np.array(addresses, dtype=np.uint64),
@@ -165,6 +174,8 @@ class Trace:
         """Join several traces end-to-end (phase assembly)."""
         if not traces:
             return Trace.from_records([], name=name)
+        import numpy as np
+
         return Trace(
             ops=np.concatenate([t.ops for t in traces]),
             addresses=np.concatenate([t.addresses for t in traces]),
@@ -205,6 +216,8 @@ class MultiTrace:
     # ------------------------------------------------------------------
     def save(self, path: Union[str, Path]) -> None:
         """Write the workload to a compressed ``.npz`` file."""
+        import numpy as np
+
         arrays = {}
         for index, trace in enumerate(self.per_processor):
             arrays[f"ops_{index}"] = trace.ops
@@ -221,6 +234,8 @@ class MultiTrace:
     @staticmethod
     def load(path: Union[str, Path]) -> "MultiTrace":
         """Read a workload previously written by :meth:`save`."""
+        import numpy as np
+
         with np.load(Path(path), allow_pickle=False) as data:
             try:
                 meta = json.loads(str(data["meta"]))

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-import numpy as np
-
 from repro.workloads.trace import MultiTrace, Trace, TraceOp
 
 
@@ -54,6 +52,8 @@ class WorkloadStats:
 
 def trace_stats(trace: Trace) -> TraceStats:
     """Summarise one trace."""
+    import numpy as np
+
     n = len(trace)
     if n == 0:
         return TraceStats(0, {op: 0.0 for op in TraceOp}, 0.0, 0, 0, 0, 0.0)
@@ -77,6 +77,8 @@ def trace_stats(trace: Trace) -> TraceStats:
 
 def workload_stats(workload: MultiTrace) -> WorkloadStats:
     """Summarise a multiprocessor workload, including sharing degree."""
+    import numpy as np
+
     per_proc = [trace_stats(t) for t in workload.per_processor]
     touched: List[set] = []
     written: List[set] = []

@@ -2,7 +2,10 @@
 
 scipy is needed only for confidence intervals over two or more samples,
 and costs about a second and 60 MB to import, so no entry point may load
-it at start-up. The simulator layers (``repro.system``) must not pull in
+it at start-up. numpy is needed only to build, load or save a trace, and
+costs about 0.1 s, so neither ``import repro`` nor ``--help`` may load
+it (a warm sweep, which builds no trace, is checked in
+``tests/harness/test_warm_sweep.py``). The simulator layers (``repro.system``) must not pull in
 the experiment harness either, and importing one harness module must
 not load the others. Each check runs the real command in a
 fresh interpreter with ``-X importtime`` and reads the modules it
@@ -52,6 +55,21 @@ def test_entry_point_does_not_import_scipy(args):
     modules = _imported_modules(*args)
     assert "repro" in modules
     assert not {m for m in modules if m == "scipy" or m.startswith("scipy.")}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("-c", "import repro"),
+        ("-c", "import repro.system"),
+        ("-m", "repro.harness", "--help"),
+    ],
+    ids=["import-repro", "import-system", "harness-help"],
+)
+def test_entry_point_does_not_import_numpy(args):
+    modules = _imported_modules(*args)
+    assert "repro" in modules
+    assert not {m for m in modules if m == "numpy" or m.startswith("numpy.")}
 
 
 def test_system_does_not_import_harness():
