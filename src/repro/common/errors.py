@@ -45,10 +45,10 @@ class ProtocolError(CGCTError):
 class HarnessError(CGCTError):
     """The experiment harness (not the simulation) was misused.
 
-    Examples: querying an unknown campaign from the service queue, or
-    resuming a campaign whose cell list no longer matches its durable
-    fingerprint. Deterministic — retrying the identical call fails
-    identically.
+    Deterministic — retrying the identical call fails identically. No
+    harness module raises it today; it stays the taxonomy's class for
+    harness misuse, apart from :class:`ConfigurationError`'s bad
+    simulator parameters.
     """
 
 

@@ -397,10 +397,6 @@ def main(argv=None) -> int:
         from repro.obs.cli import trace_command
 
         return trace_command(argv[1:])
-    if argv and argv[0] == "campaign":
-        from repro.service.cli import campaign_command
-
-        return campaign_command(argv[1:])
     if argv and argv[0] == "traces":
         from repro.traces.cli import traces_command
 
@@ -413,7 +409,7 @@ def main(argv=None) -> int:
         "experiments", nargs="+",
         help=f"experiment IDs ({', '.join(EXPERIMENTS)}) or 'all'; "
              "or the 'telemetry' / 'validate' / 'perf' / 'conformance' "
-             "/ 'trace' / 'campaign' / 'traces' subcommands (see --help "
+             "/ 'trace' / 'traces' subcommands (see --help "
              "of 'python -m repro.harness <subcommand>')",
     )
     parser.add_argument("--ops", type=int, default=60_000,

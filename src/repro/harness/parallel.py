@@ -512,7 +512,7 @@ class ParallelRunner:
             results[outcome.index] = outcome.result
         self._log(
             "sweep-end",
-            wall_s=round(time.perf_counter() - started, 3),
+            wall_s=round(time.perf_counter() - started, 4),
             completed=len(outcomes),
             simulated=sum(1 for o in outcomes if o.cache != "hit"),
             cache_hits=sum(1 for o in outcomes if o.cache == "hit"),

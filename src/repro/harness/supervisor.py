@@ -1,12 +1,12 @@
 """Supervised worker pool: the one loop that runs a list of cells.
 
 Every grid of independent cells — the parallel runner's experiment
-cells, a service fleet's claimed batch, a conformance campaign's
-iterations — runs through :meth:`SupervisedPool.run`. It executes the
-cells in this process, in order, when ``workers <= 1`` or there are
-fewer than two; otherwise it forks workers and owns each one
-individually, which ``ProcessPoolExecutor`` cannot do (one dead worker
-breaks its whole pool, and a hung one is invisible):
+cells and a conformance campaign's iterations — runs through
+:meth:`SupervisedPool.run`. It executes the cells in this process, in
+order, when ``workers <= 1`` or there are fewer than two; otherwise it
+forks workers and owns each one individually, which
+``ProcessPoolExecutor`` cannot do (one dead worker breaks its whole
+pool, and a hung one is invisible):
 
 * every worker gets its **own pipe pair** (inbox + results), so a
   process killed mid-write corrupts only its own channel, which the

@@ -21,8 +21,8 @@ The trace pipeline's command-line face (see ``docs/traces.md``)::
 Every subcommand takes ``--runlog PATH`` and appends one JSON-lines
 record; ``run`` additionally exports full telemetry with
 ``--telemetry-dir``. Trace files also work wherever a workload name
-does (``trace:<path>``), so sweeps, experiments, conformance and the
-campaign service replay them unchanged.
+does (``trace:<path>``), so sweeps, experiments and conformance
+replay them unchanged.
 """
 
 from __future__ import annotations

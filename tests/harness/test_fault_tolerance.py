@@ -5,20 +5,27 @@ Every scenario ends with the same assertion: the surviving results are
 equality). Faults — killed workers, hangs past the deadline, corrupted
 cache entries, interrupted sweeps — may cost wall clock, never bits.
 
-Injection goes through the runner's ``execute`` hook with on-disk
-markers (the idiom of ``test_parallel.py``), so a fault fires a
-controlled number of times across worker processes.
+Injection goes through the runner's ``execute`` hook (or, for a full
+disk, ``DiskCache.store``) with on-disk markers (the idiom of
+``test_parallel.py``), so a fault fires a controlled number of times
+across worker processes. The last scenario kills a whole CLI sweep,
+coordinator included, and resumes it from the result cache alone.
 """
 
+import contextlib
+import errno
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 from functools import partial
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.common.errors import FailureClass, WorkerCrash
 from repro.harness.cache import DiskCache, code_version
 from repro.harness.parallel import (
@@ -526,3 +533,103 @@ def test_checkpoint_appends_are_fsynced(tmp_path, monkeypatch):
     checkpoint.begin(["k0"])          # header write
     checkpoint.mark_done(0, "k0", "miss")
     assert len(synced) == 2
+
+
+# ----------------------------------------------------------------------
+# Scenario 7: the result store is full
+# ----------------------------------------------------------------------
+def _enospc_once_store(store, marker):
+    """Wrap ``DiskCache.store`` to raise ENOSPC exactly once: the marker
+    is created exclusively, so one process across the fork wins."""
+    def flaky_store(self, key, result, metadata=None):
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            return store(self, key, result, metadata)
+        raise OSError(errno.ENOSPC, "No space left on device (injected)")
+    return flaky_store
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_disk_full_store_is_retried_then_rerun_is_all_hits(
+        tmp_path, monkeypatch, workers):
+    tasks = grid_tasks()
+    expected = undisturbed(tasks)
+    disk = DiskCache(tmp_path / "cache")
+    # Patched on the class before the pool forks, so workers inherit it.
+    monkeypatch.setattr(DiskCache, "store", _enospc_once_store(
+        DiskCache.store, str(tmp_path / "marker")))
+    log = tmp_path / "run.jsonl"
+    with RunLog(log) as runlog:
+        results = ParallelRunner(workers=workers, cache=disk,
+                                 runlog=runlog).run(tasks)
+    assert results == expected
+    errors = [r for r in read_runlog(log)
+              if r["event"] == "run" and r.get("status") == "error"]
+    assert len(errors) == 1
+    assert errors[0]["failure_class"] == "transient"
+    assert errors[0]["will_retry"] is True
+    assert "No space left on device" in errors[0]["error"]
+
+    rerun_log = tmp_path / "rerun.jsonl"
+    with RunLog(rerun_log) as runlog:
+        assert ParallelRunner(workers=workers, cache=disk,
+                              runlog=runlog).run(tasks) == expected
+    summary = summarize(read_runlog(rerun_log))
+    assert summary["cache_hits"] == len(tasks)
+    assert summary["simulated"] == 0
+
+
+# ----------------------------------------------------------------------
+# Scenario 8: the whole sweep killed, then re-run
+# ----------------------------------------------------------------------
+def _sweep(tmp_path, name, extra=()):
+    """The CLI sweep under test, writing into ``tmp_path / name``."""
+    out = tmp_path / name
+    return [sys.executable, "-m", "repro.harness", "fig2", "--quick",
+            "--workers", "2", "--ops", "4000",
+            "--cache-dir", str(out / "cache"), "--json", str(out / "j.json"),
+            *extra]
+
+
+def _sweep_end(runlog):
+    return [r for r in read_runlog(runlog) if r["event"] == "sweep-end"][-1]
+
+
+def test_killed_sweep_resumes_bit_identically(tmp_path):
+    """SIGKILL the coordinator and its workers mid-sweep: re-running the
+    same command against the same cache serves the finished cells as
+    hits and writes byte-identical results."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    env.pop("REPRO_WORKLOAD_CACHE", None)
+    quiet = dict(env=env, cwd=tmp_path, stdout=subprocess.DEVNULL)
+    subprocess.run(_sweep(tmp_path, "fresh",
+                          ["--runlog", str(tmp_path / "fresh.jsonl")]),
+                   check=True, **quiet)
+    cells = _sweep_end(tmp_path / "fresh.jsonl")["completed"]
+    assert cells >= 2
+
+    cache = tmp_path / "killed" / "cache"
+    proc = subprocess.Popen(_sweep(tmp_path, "killed"),
+                            start_new_session=True, **quiet)
+    try:
+        deadline = time.monotonic() + 120
+        while not 1 <= len(list(cache.rglob("*.pkl"))) < cells:
+            assert proc.poll() is None, "sweep ended before it was killed"
+            assert time.monotonic() < deadline, "sweep never stored a cell"
+            time.sleep(0.005)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)  # coordinator and workers
+        proc.wait(timeout=60)
+    assert not (tmp_path / "killed" / "j.json").exists()
+
+    subprocess.run(_sweep(tmp_path, "killed",
+                          ["--runlog", str(tmp_path / "resume.jsonl")]),
+                   check=True, **quiet)
+    assert (tmp_path / "killed" / "j.json").read_bytes() == \
+        (tmp_path / "fresh" / "j.json").read_bytes()
+    end = _sweep_end(tmp_path / "resume.jsonl")
+    assert end["completed"] == cells
+    assert end["simulated"] < end["completed"]

@@ -230,9 +230,6 @@ class TestRunRecord:
             digest(run_record(*run_small(seed=1)))
 
     def test_one_result_fingerprint(self):
-        from repro.service import cells
-
-        assert cells.result_fingerprint is result_fingerprint
         _, result = run_small()
         assert result_fingerprint(result)["cycles"] == result.cycles
 
