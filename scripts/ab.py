@@ -15,7 +15,8 @@ prints the parent and change medians, their ratio, the parent's spread
 the change is better by the metric's ``better`` direction (ties count
 for neither side). It also totals attempted and failed operations per
 side — a run that prints no result counts one failed operation — and
-times one whole tier-1 run (``python -m pytest -q``) in each tree.
+times one whole tier-1 run (``python -m pytest -q``) in each tree,
+keeping the ids its short summary names as ``FAILED`` or ``ERROR``.
 
 One JSON record with all of this, both trees' git revisions and the
 host's Python and platform is appended to ``BENCH_history.jsonl`` at
@@ -121,12 +122,24 @@ def git_revision(tree: Path) -> Optional[str]:
     return head.stdout.strip() + dirty
 
 
+def failed_tests(output: str) -> List[str]:
+    """Test ids on pytest's ``FAILED``/``ERROR`` short-summary lines."""
+    ids = []
+    for line in output.splitlines():
+        for prefix in ("FAILED ", "ERROR "):
+            if line.startswith(prefix):
+                ids.append(line[len(prefix):].split(" - ", 1)[0].strip())
+    return ids
+
+
 def tier1(tree: Path):
-    """(wall seconds, passed?) of one tier-1 run in *tree*."""
+    """(wall seconds, passed?, failed test ids) of one tier-1 run in
+    *tree*."""
     start = time.perf_counter()
     proc = subprocess.run(TIER1, cwd=tree, env=_env(tree),
                           capture_output=True, text=True)
-    return round(time.perf_counter() - start, 1), proc.returncode == 0
+    return (round(time.perf_counter() - start, 1), proc.returncode == 0,
+            failed_tests(proc.stdout))
 
 
 def run_ab(parent: Path, change: Path, workloads: List[str], pairs: int,
@@ -169,8 +182,9 @@ def run_ab(parent: Path, change: Path, workloads: List[str], pairs: int,
         "failures": failures,
     }
     runs = {side: tier1(tree) for side, tree in sides.items()}
-    record["tier1_s"] = {side: s for side, (s, _) in runs.items()}
-    record["tier1_passed"] = {side: ok for side, (_, ok) in runs.items()}
+    record["tier1_s"] = {side: run[0] for side, run in runs.items()}
+    record["tier1_passed"] = {side: run[1] for side, run in runs.items()}
+    record["tier1_failed"] = {side: run[2] for side, run in runs.items()}
     return record
 
 
@@ -191,6 +205,8 @@ def render(record: Dict) -> str:
         lines.append(f"{side}: {counts['failed']} of {counts['attempted']} "
                      f"operations failed; tier-1 {record['tier1_s'][side]} s, "
                      f"{'passed' if record['tier1_passed'][side] else 'FAILED'}")
+        lines.extend(f"  FAILED {test}"
+                     for test in record["tier1_failed"][side])
     return "\n".join(lines)
 
 

@@ -17,6 +17,12 @@ from repro.cache.setassoc import SetAssociativeArray
 from repro.coherence.line_states import L1State
 from repro.memory.geometry import Geometry
 
+# Enum members bound once for the per-access methods (a member read
+# through the enum class is a slow attribute hook before 3.12).
+_INVALID = L1State.INVALID
+_SHARED = L1State.SHARED
+_MODIFIED = L1State.MODIFIED
+
 
 class _L1Line:
     __slots__ = ("line", "state")
@@ -99,7 +105,7 @@ class L1Cache:
         """Current MSI state of the line containing *address*."""
         line = address >> self._line_shift
         entry = self._sets[line & self._set_mask].get(line >> self._tag_shift)
-        return entry.state if entry is not None else L1State.INVALID
+        return entry.state if entry is not None else _INVALID
 
     def fill(self, address: int, writable: bool) -> Optional[int]:
         """Install the line containing *address*.
@@ -112,7 +118,7 @@ class L1Cache:
         line = address >> self._line_shift
         entries = self._sets[line & self._set_mask]
         tag = line >> self._tag_shift
-        state = L1State.MODIFIED if writable else L1State.SHARED
+        state = _MODIFIED if writable else _SHARED
         existing = entries.pop(tag, None)
         if existing is not None:
             entries[tag] = existing  # MRU promotion, as on any hit
@@ -139,7 +145,7 @@ class L1Cache:
         entry = entries.pop(tag, None)
         if entry is not None:
             entries[tag] = entry  # MRU promotion, as on any hit
-            entry.state = L1State.MODIFIED
+            entry.state = _MODIFIED
 
     # ------------------------------------------------------------------
     # L2 side (inclusion)
@@ -159,7 +165,7 @@ class L1Cache:
         """Demote a MODIFIED copy to SHARED (external read snoop)."""
         entry = self._sets[line & self._set_mask].get(line >> self._tag_shift)
         if entry is not None:
-            entry.state = L1State.SHARED
+            entry.state = _SHARED
 
     # ------------------------------------------------------------------
     # Introspection

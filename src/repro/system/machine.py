@@ -131,13 +131,42 @@ for _request in RequestType:
     )
 
 _NO_REQUEST_I = RequestPath.NO_REQUEST.index
-_DIRECT_I = RequestPath.DIRECT.index
-_TARGETED_I = RequestPath.TARGETED.index
-_BROADCAST_I = RequestPath.BROADCAST.index
 _WRITEBACK_C = OracleCategory.WRITEBACK.index
 #: Region states by ``state.index``: a snoop class ``c`` is state
 #: ``_REGION_STATES[c >> 1]``.
 _REGION_STATES = tuple(RegionState)
+
+# ----------------------------------------------------------------------
+# Enum members as module constants for the per-access paths. On CPython
+# before 3.12 the enum metaclass defines ``__getattr__``, so every
+# ``RequestType.READ`` in a function body runs the slow attribute hook
+# (about 5x a plain class attribute, over 10x a module global); members
+# are bound here once, at import. Default arguments and annotations run
+# once and keep the qualified names.
+# ----------------------------------------------------------------------
+_REQ_READ = RequestType.READ
+_REQ_RFO = RequestType.RFO
+_REQ_UPGRADE = RequestType.UPGRADE
+_REQ_IFETCH = RequestType.IFETCH
+_REQ_PREFETCH = RequestType.PREFETCH
+_REQ_PREFETCH_EX = RequestType.PREFETCH_EX
+_REQ_WRITEBACK = RequestType.WRITEBACK
+_REQ_DCBZ = RequestType.DCBZ
+_REQ_DCBF = RequestType.DCBF
+_REQ_DCBI = RequestType.DCBI
+_LINE_MODIFIED = LineState.MODIFIED
+_REGION_INVALID = RegionState.INVALID
+_LOCAL_CLEAN = LocalPart.CLEAN
+_region_from_parts = RegionState.from_parts
+_PATH_NO_REQUEST = RequestPath.NO_REQUEST
+_PATH_DIRECT = RequestPath.DIRECT
+_PATH_TARGETED = RequestPath.TARGETED
+_PATH_BROADCAST = RequestPath.BROADCAST
+#: Requests a RegionScout NSRT hit completes with no external message.
+_NSRT_NO_REQUESTS = (_REQ_UPGRADE, _REQ_DCBZ, _REQ_DCBF, _REQ_DCBI)
+#: Requests eligible for the owner-prediction probe (non-invalidating
+#: reads).
+_OWNER_PROBED_REQUESTS = (_REQ_READ, _REQ_IFETCH, _REQ_PREFETCH)
 
 
 #: Latency samples buffered per list before they are folded into their
@@ -294,10 +323,12 @@ class Machine:
         )
         self._perturb = random.Random(derive_seed(seed, "perturbation"))
         self._perturb_magnitude = config.timing.perturbation_cycles
-        # randint(0, m) reduces to _randbelow(m + 1) in CPython; binding
-        # the bound method skips the randint→randrange wrapper layers on
-        # every jittered request while drawing the identical stream.
-        self._randbelow = getattr(self._perturb, "_randbelow", None)
+        # The jitter draw of _external_request inlines CPython's
+        # randint(0, m) → _randbelow(m + 1): rejection-sample getrandbits
+        # of (m + 1).bit_length() bits until the draw is <= m. Same
+        # stream, without the wrapper frames.
+        self._perturb_bits = (self._perturb_magnitude + 1).bit_length()
+        self._getrandbits = self._perturb.getrandbits
         # Hoisted geometry/latency constants for the per-access paths:
         # plain instance slots instead of two-level attribute chains.
         self._line_shift = self.geometry._line_bits
@@ -863,7 +894,7 @@ class Machine:
             latency = self._l2_hit_cycles
         else:
             latency = self._l2_hit_cycles + self._external_request(
-                proc, RequestType.IFETCH, address, now, fill_l1i=True
+                proc, _REQ_IFETCH, address, now, fill_l1i=True
             )
         samples = self._demand_samples
         samples.append(latency)
@@ -885,12 +916,12 @@ class Machine:
             self._tracer.l2(entry is not None, now)
         external = 0
         if entry is not None and entry.state.can_silently_modify:
-            node.l2.set_state(address >> self._line_shift, LineState.MODIFIED)
+            node.l2.set_state(address >> self._line_shift, _LINE_MODIFIED)
             node.l1d.fill(address, writable=True)
             self.l2_hits += 1
         else:
             external = self._external_request(
-                proc, RequestType.DCBZ, address, now, fill_l1d=True, l1_writable=True
+                proc, _REQ_DCBZ, address, now, fill_l1d=True, l1_writable=True
             )
         latency = self._l2_hit_cycles + external
         if self._tracer is not None:
@@ -902,11 +933,11 @@ class Machine:
 
     def dcbf(self, proc: int, address: int, now: int) -> int:
         """Data Cache Block Flush: push dirty data to memory everywhere."""
-        return self._dcb_kill(proc, RequestType.DCBF, address, now)
+        return self._dcb_kill(proc, _REQ_DCBF, address, now)
 
     def dcbi(self, proc: int, address: int, now: int) -> int:
         """Data Cache Block Invalidate: discard all cached copies."""
-        return self._dcb_kill(proc, RequestType.DCBI, address, now)
+        return self._dcb_kill(proc, _REQ_DCBI, address, now)
 
     def _dcb_kill(
         self, proc: int, request: RequestType, address: int, now: int
@@ -921,7 +952,7 @@ class Machine:
             node.l2.invalidate(line)
             node.l1d.back_invalidate(line)
             node.l1i.back_invalidate(line)
-            if dirty and request is RequestType.DCBF:
+            if dirty and request is _REQ_DCBF:
                 self._emit_writeback(
                     proc, node.route_writeback_for_line(line), now
                 )
@@ -954,18 +985,18 @@ class Machine:
             if not is_store:
                 node.l1d.fill(address, writable=False)
             elif entry.state.can_silently_modify:
-                node.l2.set_state(line, LineState.MODIFIED)
+                node.l2.set_state(line, _LINE_MODIFIED)
                 node.l1d.fill(address, writable=True)
             else:
                 # SHARED/OWNED copy: upgrade (invalidate other copies).
                 external = self._external_request(
-                    proc, RequestType.UPGRADE, address, now
+                    proc, _REQ_UPGRADE, address, now
                 )
                 node.l1d.fill(address, writable=True)
         else:
             external = self._external_request(
                 proc,
-                RequestType.RFO if is_store else RequestType.READ,
+                _REQ_RFO if is_store else _REQ_READ,
                 address,
                 now,
                 fill_l1d=True,
@@ -1011,9 +1042,7 @@ class Machine:
                 if entry is not None and entry.state.is_externally_dirty:
                     self.prefetches_filtered += 1
                     continue
-            request = (
-                RequestType.PREFETCH_EX if exclusive else RequestType.PREFETCH
-            )
+            request = _REQ_PREFETCH_EX if exclusive else _REQ_PREFETCH
             # Prefetches are non-blocking: effects and resource occupancy
             # are applied, the latency is not charged to the processor.
             self._external_request(proc, request, address, now)
@@ -1042,21 +1071,20 @@ class Machine:
         jitter = 0
         magnitude = self._perturb_magnitude
         if magnitude:
-            # Same stream as self._perturb.randint(0, magnitude): CPython
-            # randint(0, m) bottoms out in _randbelow(m + 1).
-            randbelow = self._randbelow
-            jitter = (
-                randbelow(magnitude + 1)
-                if randbelow is not None
-                else self._perturb.randint(0, magnitude)
-            )
+            # Same stream as self._perturb.randint(0, magnitude) (see
+            # __init__).
+            getrandbits = self._getrandbits
+            bits = self._perturb_bits
+            jitter = getrandbits(bits)
+            while jitter > magnitude:
+                jitter = getrandbits(bits)
             now += jitter
         node = self.nodes[proc]
         category = request.category_index
         region = address >> self._region_shift
 
         entry = None
-        state = RegionState.INVALID
+        state = _REGION_INVALID
         sets = self._rca_sets_by_pid[proc]
         if sets is not None:
             # Inlined RegionCoherenceArray.lookup — one pop/reinsert pair
@@ -1081,7 +1109,7 @@ class Machine:
         if sets is not None and not state.broadcast_needed[request.index]:
             latency = self._direct_request(proc, request, address, entry, now)
             self.stats.directs._counts[category] += 1
-            path = RequestPath.DIRECT
+            path = _PATH_DIRECT
             self._apply_local_fill(
                 proc, request, address,
                 request.fill_states[not state.is_exclusive],
@@ -1092,16 +1120,15 @@ class Machine:
             # other node caches lines of the region — route like a CGCT
             # exclusive.
             node.regionscout is not None
-            and request is not RequestType.WRITEBACK
+            and request is not _REQ_WRITEBACK
             and node.regionscout.nsrt.contains(region)
         ):
-            if request in (RequestType.UPGRADE, RequestType.DCBZ,
-                           RequestType.DCBF, RequestType.DCBI):
+            if request in _NSRT_NO_REQUESTS:
                 return self._no_request(proc, request, address, now,
                                         fill_l1d, fill_l1i, l1_writable, None)
             latency = self._direct_request(proc, request, address, None, now)
             self.stats.directs._counts[category] += 1
-            path = RequestPath.DIRECT
+            path = _PATH_DIRECT
             self._apply_local_fill(
                 proc, request, address,
                 request.fill_states[0],
@@ -1119,8 +1146,7 @@ class Machine:
                 and state.is_externally_dirty
                 and entry.owner_hint is not None
                 and entry.owner_hint != proc
-                and request in (RequestType.READ, RequestType.IFETCH,
-                                RequestType.PREFETCH)
+                and request in _OWNER_PROBED_REQUESTS
             ):
                 predicted_owner = entry.owner_hint
                 latency = self._targeted_request(
@@ -1128,7 +1154,7 @@ class Machine:
                     fill_l1d=fill_l1d, fill_l1i=fill_l1i,
                     l1_writable=l1_writable,
                 )
-                path = RequestPath.TARGETED
+                path = _PATH_TARGETED
                 if latency is None:
                     # Wrong prediction: pay the probe's round trip, then
                     # broadcast.
@@ -1139,7 +1165,7 @@ class Machine:
                     proc, request, address, now + probe_penalty,
                     fill_l1d, fill_l1i, l1_writable, state, entry,
                 ) + probe_penalty
-                path = RequestPath.BROADCAST
+                path = _PATH_BROADCAST
 
         index = request.rp_base + path.index
         self._request_path_counts[index] += 1
@@ -1173,10 +1199,10 @@ class Machine:
             None, fill_l1d, fill_l1i, l1_writable, now, entry,
         )
         if self._log_enabled:
-            self._log_event(now, proc, request, RequestPath.NO_REQUEST,
+            self._log_event(now, proc, request, _PATH_NO_REQUEST,
                             address, 0)
         if self._tracer is not None:
-            self._tracer.route(request, RequestPath.NO_REQUEST, address,
+            self._tracer.route(request, _PATH_NO_REQUEST, address,
                                0, now)
         return 0
 
@@ -1192,7 +1218,7 @@ class Machine:
         home = entry.home_mc if entry is not None else self.address_map.home_of(address)
         controller = self.controllers[home]
         arrive = now + self._direct_to_mc[proc][home]
-        if request is RequestType.WRITEBACK:
+        if request is _REQ_WRITEBACK:
             controller.write_back(self.network.acquire_controller_link(home, arrive))
             return 0  # castouts never stall the processor
         if not request.wants_data:
@@ -1293,7 +1319,7 @@ class Machine:
         if (
             node.regionscout is not None
             and remote_region_free
-            and request is not RequestType.WRITEBACK
+            and request is not _REQ_WRITEBACK
         ):
             node.regionscout.nsrt.record(region)
 
@@ -1303,9 +1329,9 @@ class Machine:
         # copy (otherwise memory's copy is good); everything else (data
         # reads/writes, prefetches, upgrades, DCB ops) is unnecessary
         # exactly when no remote cache holds a copy.
-        if request is RequestType.WRITEBACK:
+        if request is _REQ_WRITEBACK:
             unnecessary = True
-        elif request is RequestType.IFETCH:
+        elif request is _REQ_IFETCH:
             unnecessary = not combined.owned
         else:
             unnecessary = not combined.shared
@@ -1398,13 +1424,13 @@ class Machine:
         # requestor fills exclusive, as far as each observer can know
         # (Section 3.1: known when the combined line response is
         # visible, or when the observer itself caches the line).
-        if request is RequestType.READ or request is RequestType.PREFETCH:
+        if request is _REQ_READ or request is _REQ_PREFETCH:
             if self._line_resp_visible:
                 hint_h = hint_n = 2 if combined.shared else 1
             else:
                 hint_h = 2
                 hint_n = 0
-        elif request is RequestType.IFETCH:
+        elif request is _REQ_IFETCH:
             hint_h = 2
             hint_n = 2 if self._line_resp_visible else 0
         else:
@@ -1439,7 +1465,7 @@ class Machine:
                 inv |= m
                 if record is not None:
                     record(_REGION_STATES[c >> 1], "self_invalidate",
-                           RegionState.INVALID, m.bit_count())
+                           _REGION_INVALID, m.bit_count())
                 continue
             if hint_h == hint_n:
                 tgt = row[hint_h]
@@ -1633,7 +1659,7 @@ class Machine:
         combined: SnoopResult,
         requestor_region_state: RegionState = RegionState.INVALID,
     ) -> int:
-        if request is RequestType.WRITEBACK:
+        if request is _REQ_WRITEBACK:
             home = self.address_map.home_of(address)
             self.controllers[home].write_back(snoop_done)
             return 0
@@ -1698,16 +1724,16 @@ class Machine:
         if node.rca.victim_for(region) is not None:
             return  # never evict real state for a prefetch
         combined = combine_region_responses([
-            self._snoop_region_of(other, region, RequestType.PREFETCH, False)
+            self._snoop_region_of(other, region, _REQ_PREFETCH, False)
             for other in self.nodes
             if other.proc_id != node.proc_id
         ])
         if not self.config.two_bit_response:
             combined = combined.collapsed()
-        state = RegionState.from_parts(LocalPart.CLEAN, combined.external_part)
+        state = _region_from_parts(_LOCAL_CLEAN, combined.external_part)
         if node.protocol.transitions is not None:
             node.protocol.transitions.record(
-                RegionState.INVALID, "region_prefetch", state
+                _REGION_INVALID, "region_prefetch", state
             )
         node.rca.insert(region, state, self.address_map.home_of_region(region))
         self.region_prefetches += 1
@@ -1743,9 +1769,9 @@ class Machine:
         # Region state first: inclusion requires the entry to exist before
         # the L2 fill's allocation callback fires.
         rca = node.rca
-        if rca is not None and request is not RequestType.WRITEBACK:
+        if rca is not None and request is not _REQ_WRITEBACK:
             entry = region_entry
-            current = entry.state if entry is not None else RegionState.INVALID
+            current = entry.state if entry is not None else _REGION_INVALID
             # Flat-table twin of protocol.after_local_request, which
             # still runs for the tabulated error path (it raises) and
             # while telemetry is attached (it records the transition).
@@ -1798,8 +1824,8 @@ class Machine:
                     for writeback in writebacks:
                         self._emit_writeback(proc, writeback, now)
 
-        if request is RequestType.UPGRADE:
-            node.l2.set_state(line, LineState.MODIFIED)
+        if request is _REQ_UPGRADE:
+            node.l2.set_state(line, _LINE_MODIFIED)
             if fill_l1d or node.l1d.state_of(address).is_valid:
                 node.l1d.upgrade(address)
             return

@@ -63,6 +63,11 @@ from repro.rca.response import NO_COPIES, RegionSnoopResponse
 from repro.rca.states import RegionState
 from repro.system.config import SystemConfig
 
+# Enum members bound once for the snoop and eviction paths (a member
+# read through the enum class is a slow attribute hook before 3.12).
+_LINE_INVALID = LineState.INVALID
+_REGION_INVALID = RegionState.INVALID
+
 
 class PendingWriteback(NamedTuple):
     """A dirty line leaving this node that must reach memory.
@@ -170,7 +175,7 @@ class ProcessorNode:
         if victim is not None:
             transitions = self.protocol.transitions
             if transitions is not None:
-                transitions.record(victim.state, "evict", RegionState.INVALID)
+                transitions.record(victim.state, "evict", _REGION_INVALID)
             self.rca.note_eviction_line_count(victim.line_count)
             for evicted in self.l2.evict_region(victim.region):
                 self._drop_from_l1s(evicted.line)
@@ -201,7 +206,7 @@ class ProcessorNode:
         next_state, response, writes_back = (
             _SNOOP_OUTCOMES[state_before.index][request.index]
         )
-        if next_state is LineState.INVALID:
+        if next_state is _LINE_INVALID:
             self.l2.invalidate(line)
             self._drop_from_l1s(line)
         elif next_state is not state_before:
@@ -243,7 +248,7 @@ class ProcessorNode:
             transitions = self.protocol.transitions
             if transitions is not None:
                 transitions.record(
-                    entry.state, "self_invalidate", RegionState.INVALID
+                    entry.state, "self_invalidate", _REGION_INVALID
                 )
             self.rca.invalidate(region)
             return outcome.response

@@ -139,10 +139,27 @@ def test_history_record_is_appended(trees, monkeypatch, capsys):
     assert set(record) == {
         "date", "parent_sha", "change_sha", "python", "platform", "pairs",
         "seconds", "seeds", "metrics", "failures", "tier1_s",
-        "tier1_passed"}
+        "tier1_passed", "tier1_failed"}
     assert record["pairs"] == 2 and record["seconds"] == 3
     assert set(record["tier1_s"]) == {"parent", "change"}
     assert record["tier1_passed"] == {"parent": True, "change": True}
+    assert record["tier1_failed"] == {"parent": [], "change": []}
     # Stub trees are no git checkouts.
     assert record["parent_sha"] is None
     assert "sim_ops_per_s.cgct" in capsys.readouterr().out
+
+
+def test_failed_tier1_names_its_tests(trees, monkeypatch):
+    # A tier-1 run that fails keeps the ids of pytest's short summary.
+    monkeypatch.setattr(ab, "TIER1", [sys.executable, "-c", (
+        "print('.F.E')\n"
+        "print('FAILED tests/x.py::test_y - AssertionError')\n"
+        "print('ERROR tests/z.py::test_w')\n"
+        "print('1 failed, 2 passed, 1 error in 0.1s')\n"
+        "raise SystemExit(1)")])
+    record = run(trees, pairs=1)
+    assert record["tier1_passed"] == {"parent": False, "change": False}
+    assert record["tier1_failed"] == {
+        side: ["tests/x.py::test_y", "tests/z.py::test_w"]
+        for side in ("parent", "change")}
+    assert "FAILED tests/x.py::test_y" in ab.render(record)
