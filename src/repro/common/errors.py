@@ -42,16 +42,6 @@ class ProtocolError(CGCTError):
     """
 
 
-class HarnessError(CGCTError):
-    """The experiment harness (not the simulation) was misused.
-
-    Deterministic — retrying the identical call fails identically. No
-    harness module raises it today; it stays the taxonomy's class for
-    harness misuse, apart from :class:`ConfigurationError`'s bad
-    simulator parameters.
-    """
-
-
 class SimulationError(CGCTError):
     """The simulator reached an inconsistent runtime state.
 

@@ -2,8 +2,9 @@
 
 One :func:`run_differential` call replays a workload on the real
 :class:`~repro.system.simulator.Simulator` (sanitizer attached, optional
-telemetry) while a :class:`ConformanceProbe` listens to the machine's
-coherence-event funnel, then diffs three things against the golden
+telemetry) while a :class:`ConformanceProbe`, attached as the machine's
+event log, receives every resolved request through the coherence-event
+funnel's one ``record`` sink, then diffs three things against the golden
 model:
 
 1. **CGCT safety, live** — any request resolved on the ``direct`` or
@@ -52,10 +53,9 @@ ProbeEvent = namedtuple(
 class ConformanceProbe:
     """Event sink wired into the machine's coherence-event funnel.
 
-    Implements both sink shapes the machine knows: ``funnel(...)`` (the
-    fast per-instance shadow, raw enums) and ``record(...)`` (the
-    generic dispatch used when telemetry shares the stream, path already
-    a string). Every event is stamped with the index of the access that
+    Attached as the machine's event log, so its :meth:`record` receives
+    every resolved request in the funnel's one sink shape (raw enum
+    members). Every event is stamped with the index of the access that
     produced it, taken from the shared ``order`` list the simulator's
     step observer appends to.
 
@@ -71,24 +71,14 @@ class ConformanceProbe:
         self.events: List[ProbeEvent] = []
         self.violations: List[str] = []
 
-    # -- machine-facing sink protocol ----------------------------------
-    def funnel(self, now, proc, request, path, address, latency) -> None:
-        self._note(now, proc, request, path.value, address, latency)
-
-    def record(self, time, processor, request, address, path, latency) -> None:
-        self._note(
-            time, processor, request,
-            path if isinstance(path, str) else path.value,
-            address, latency,
-        )
-
     def tail(self, n: Optional[int] = None):
         events = self.events if n is None else self.events[-n:]
         return events  # ProbeEvent has the attribute names tail consumers use
 
-    # -- the live CGCT-safety check ------------------------------------
-    def _note(self, now, proc, request, path, address, latency) -> None:
+    # -- the request-funnel sink: the live CGCT-safety check -----------
+    def record(self, now, proc, request, address, path, latency) -> None:
         machine = self._machine
+        path = path.value
         line = address >> self._line_shift
         holders = machine._line_holders.get(line, 0)
         index = len(self._order) - 1

@@ -129,7 +129,7 @@ def _telemetry_command(argv) -> int:
 
     profiler = Profiler()
     registry = TelemetryRegistry(interval=args.interval)
-    event_log = EventLog(capacity=args.events).register(registry)
+    event_log = EventLog(capacity=args.events)
     config = (
         SystemConfig.paper_baseline() if args.baseline
         else SystemConfig.paper_cgct()
@@ -140,6 +140,7 @@ def _telemetry_command(argv) -> int:
             ops_per_processor=args.ops, seed=0,
         )
     simulator = Simulator(config, seed=args.seed, telemetry=registry)
+    simulator.machine.attach_event_log(event_log)
     with profiler.phase("simulate"):
         result = simulator.run(workload, warmup_fraction=args.warmup)
     profiler.count_events(

@@ -71,7 +71,6 @@ from repro.harness.cache import DiskCache, cache_key, code_version, \
     config_fingerprint
 from repro.harness.runlog import RunLog
 from repro.harness.supervisor import (
-    CircuitBreaker,
     RetryPolicy,
     SupervisedPool,
     SweepCheckpoint,
@@ -84,6 +83,10 @@ from repro.workloads.benchmarks import TRACE_PREFIX, build_benchmark
 from repro.workloads.store import WorkloadStore, active_store, \
     set_workload_store
 from repro.workloads.trace import MultiTrace
+
+
+#: Backoff between a failed cell's retry attempts.
+_RETRY_POLICY = RetryPolicy()
 
 
 def _peak_rss_kb() -> int:
@@ -370,9 +373,6 @@ class ParallelRunner:
         Per-cell wall-clock budget in seconds for pooled execution;
         a worker past it is SIGKILLed and the cell requeued (transient).
         ``None`` (default) disables the deadline.
-    policy:
-        :class:`~repro.harness.supervisor.RetryPolicy` controlling the
-        backoff between retry attempts.
     checkpoint:
         Optional :class:`~repro.harness.supervisor.SweepCheckpoint`.
         Together with a disk cache this makes sweeps resumable: cells
@@ -406,11 +406,9 @@ class ParallelRunner:
         strict: bool = True,
         execute: Optional[Callable[[_Envelope], TaskOutcome]] = None,
         task_timeout: Optional[float] = None,
-        policy: Optional[RetryPolicy] = None,
         checkpoint: Optional[SweepCheckpoint] = None,
         circuit_threshold: int = 4,
         check_invariants: str = "",
-        heartbeat_interval: float = 0.25,
         spans=None,
         span_parent: Optional[str] = None,
         workload_cache: Optional[WorkloadStore] = None,
@@ -422,11 +420,9 @@ class ParallelRunner:
         self.strict = strict
         self.execute = execute if execute is not None else execute_envelope
         self.task_timeout = task_timeout
-        self.policy = policy if policy is not None else RetryPolicy()
         self.checkpoint = checkpoint
         self.circuit_threshold = max(1, int(circuit_threshold))
         self.check_invariants = check_invariants
-        self.heartbeat_interval = heartbeat_interval
         self.spans = spans
         self.span_parent = span_parent
         #: Materialized workload store shared with the workers; defaults
@@ -495,8 +491,7 @@ class ParallelRunner:
         pool = SupervisedPool(
             self.workers, self.execute,
             task_timeout=self.task_timeout,
-            heartbeat_interval=self.heartbeat_interval,
-            breaker=CircuitBreaker(self.circuit_threshold),
+            circuit_threshold=self.circuit_threshold,
         )
         simulated, drained = pool.run(pending, self._on_outcome,
                                       self._decide_retry)
@@ -596,7 +591,7 @@ class ParallelRunner:
     ) -> Optional[float]:
         """Log *failure*; the delay before its retry, or None to give up."""
         attempt = self._attempts[envelope.index]
-        delay = self.policy.retry_delay(failure, attempt, self.retries,
+        delay = _RETRY_POLICY.retry_delay(failure, attempt, self.retries,
                                         key=envelope.index)
         self._record_failure(envelope, failure, attempt, delay is not None)
         if delay is not None:

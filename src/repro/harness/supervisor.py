@@ -40,6 +40,7 @@ import dataclasses
 import hashlib
 import heapq
 import json
+import multiprocessing
 import os
 import threading
 import time
@@ -109,115 +110,23 @@ class CircuitBreaker:
 
     Only environmental faults (worker crashes, timeouts, dispatch
     failures) count — an in-task exception means the pool machinery is
-    healthy. Any successful completion resets the count.
-
-    States (``state`` property): ``"closed"`` (healthy, dispatch
-    freely), ``"open"`` (tripped, dispatch nothing), ``"half-open"``
-    (cool-down elapsed, exactly one trial task may probe). With
-    ``cooldown=None`` — the default, and the historical behaviour — a
-    trip is permanent: :attr:`tripped` goes True immediately and the
-    supervised pool abandons parallel execution. With a cool-down in
-    seconds, an open breaker transitions to half-open once the cool-down
-    elapses; :meth:`begin_probe` then admits a single task. A probe
-    success closes the breaker, a probe fault re-opens it with the
-    cool-down doubled (capped at 8× the base), and ``max_probes``
-    consecutive failed probes exhaust the breaker for good
-    (:attr:`tripped` True). A half-open fault with *no* probe admitted
-    (a straggler dispatched before the trip) re-opens the breaker but
-    consumes no probe and leaves the cool-down unescalated.
+    healthy. Any successful completion resets the count. A trip is
+    permanent: the supervised pool abandons parallel execution for the
+    rest of its sweep.
     """
 
-    def __init__(
-        self,
-        threshold: int = 4,
-        cooldown: Optional[float] = None,
-        max_probes: int = 3,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, threshold: int = 4) -> None:
         self.threshold = max(1, int(threshold))
-        self.cooldown = cooldown
-        self.max_probes = max(1, int(max_probes))
-        self._clock = clock
         self.consecutive_faults = 0
-        self.failed_probes = 0
-        self._state = "closed"
-        self._opened_at: Optional[float] = None
-        self._probe_outstanding = False
         self.tripped = False
-
-    # ------------------------------------------------------------------
-    @property
-    def state(self) -> str:
-        """``"closed"`` | ``"open"`` | ``"half-open"`` (after a poll)."""
-        self._poll()
-        return self._state
-
-    def _poll(self) -> None:
-        if self._state == "open" and self.cooldown is not None \
-                and not self.tripped:
-            waited = self._clock() - (self._opened_at or 0.0)
-            if waited >= self._current_cooldown():
-                self._state = "half-open"
-                self._probe_outstanding = False
-
-    def _current_cooldown(self) -> float:
-        return self.cooldown * min(8.0, 2.0 ** self.failed_probes)
-
-    def begin_probe(self) -> bool:
-        """In half-open, admit exactly one trial task; False otherwise."""
-        self._poll()
-        if self._state != "half-open" or self._probe_outstanding:
-            return False
-        self._probe_outstanding = True
-        return True
-
-    def allow_dispatch(self) -> bool:
-        """May the pool hand a task to a worker right now?
-
-        Closed: always. Open: never. Half-open: only the single probe
-        (this call *claims* the probe slot when it returns True).
-        """
-        self._poll()
-        if self._state == "closed":
-            return True
-        if self._state == "half-open":
-            return self.begin_probe()
-        return False
 
     def record_fault(self) -> None:
         self.consecutive_faults += 1
-        self._poll()
-        if self._state == "half-open":
-            if self._probe_outstanding:
-                # The trial task faulted: back to open, cool-down
-                # escalated.
-                self.failed_probes += 1
-                self._probe_outstanding = False
-            # A fault with no probe admitted (a straggler dispatched
-            # before the trip) still re-opens, but must not burn a
-            # probe — otherwise max_probes could be exhausted, and the
-            # breaker permanently tripped, without a single trial task
-            # ever being dispatched.
-            self._trip()
-        elif self._state == "closed" \
-                and self.consecutive_faults >= self.threshold:
-            self._trip()
-
-    def _trip(self) -> None:
-        self._state = "open"
-        self._opened_at = self._clock()
-        if self.cooldown is None or self.failed_probes >= self.max_probes:
+        if self.consecutive_faults >= self.threshold:
             self.tripped = True
 
     def record_success(self) -> None:
         self.consecutive_faults = 0
-        if self._state != "closed":
-            # A completion while open/half-open is the probe (or a
-            # straggler from before the trip) finishing healthy: close.
-            self._state = "closed"
-            self._probe_outstanding = False
-            self.failed_probes = 0
-            self._opened_at = None
 
 
 # ----------------------------------------------------------------------
@@ -260,6 +169,12 @@ class TaskFailure:
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
+#: Workers beat this often (seconds); one silent for the grace period
+#: is presumed wedged and replaced.
+_HEARTBEAT_INTERVAL = 0.25
+_HEARTBEAT_GRACE = 30.0
+
+
 def preload_numpy() -> None:
     """Import numpy in this process before it forks workers.
 
@@ -271,7 +186,7 @@ def preload_numpy() -> None:
     import numpy  # noqa: F401
 
 
-def _worker_main(execute, inbox, results, heartbeat_interval: float) -> None:
+def _worker_main(execute, inbox, results) -> None:
     """Worker loop: recv envelope, execute, send outcome; beat meanwhile."""
     lock = threading.Lock()
 
@@ -286,7 +201,7 @@ def _worker_main(execute, inbox, results, heartbeat_interval: float) -> None:
     stop = threading.Event()
 
     def beat() -> None:
-        while not stop.wait(heartbeat_interval):
+        while not stop.wait(_HEARTBEAT_INTERVAL):
             if not send(("hb",)):
                 return
 
@@ -355,12 +270,9 @@ class SupervisedPool:
     task_timeout:
         Per-task wall-clock budget in seconds; ``None`` disables hang
         detection by deadline (heartbeat supervision stays on).
-    heartbeat_interval / heartbeat_grace:
-        Workers beat every ``interval`` seconds; one silent for
-        ``grace`` seconds is presumed wedged and replaced.
-    breaker:
-        A :class:`CircuitBreaker`; a fresh ``CircuitBreaker()`` when
-        omitted.
+    circuit_threshold:
+        Consecutive pool faults that trip the pool's
+        :class:`CircuitBreaker`.
     """
 
     _POLL_SECONDS = 0.05
@@ -370,25 +282,16 @@ class SupervisedPool:
         workers: int,
         execute: Callable,
         task_timeout: Optional[float] = None,
-        heartbeat_interval: float = 0.25,
-        heartbeat_grace: float = 30.0,
-        breaker: Optional[CircuitBreaker] = None,
-        mp_context=None,
+        circuit_threshold: int = 4,
     ) -> None:
-        if mp_context is None:
-            import multiprocessing
-
-            try:
-                mp_context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-fork platforms
-                mp_context = multiprocessing.get_context()
-        self._ctx = mp_context
+        try:
+            self._ctx = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover - non-fork platforms
+            self._ctx = multiprocessing.get_context()
         self.workers = max(1, int(workers))
         self.execute = execute
         self.task_timeout = task_timeout
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_grace = heartbeat_grace
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
+        self.breaker = CircuitBreaker(circuit_threshold)
         #: Counters for logs/tests.
         self.timeouts = 0
         self.crashes = 0
@@ -443,7 +346,7 @@ class SupervisedPool:
                     ready.append(heapq.heappop(delayed)[2])
                 for worker in pool:
                     if worker.inflight is None and ready \
-                            and self.breaker.allow_dispatch():
+                            and not self.breaker.tripped:
                         self._dispatch(worker, ready)
                 if not ready and not delayed and not any(
                     w.inflight is not None for w in pool
@@ -503,7 +406,7 @@ class SupervisedPool:
         result_r, result_w = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(self.execute, inbox_r, result_w, self.heartbeat_interval),
+            args=(self.execute, inbox_r, result_w),
             daemon=True,
         )
         proc.start()
@@ -576,7 +479,7 @@ class SupervisedPool:
                 failure_kind = "timeout"
             elif (
                 worker.inflight is not None
-                and now - worker.last_seen > self.heartbeat_grace
+                and now - worker.last_seen > _HEARTBEAT_GRACE
             ):
                 failure_kind = "crash"
             if failure_kind is None:

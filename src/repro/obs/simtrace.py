@@ -3,9 +3,11 @@
 :class:`SimTracer` attaches to a :class:`~repro.system.machine.Machine`
 via ``machine.attach_tracer(tracer)`` (the :class:`Simulator` forwards
 its ``tracer=`` argument). The machine calls the hook methods below at
-the stages of each memory access; a detached machine pays one ``is
-None`` check per instrumented site — the same contract as the telemetry
-event funnel — and an attached tracer only ever *reads*, so simulated
+the stages of each memory access; :meth:`SimTracer.record`, the
+resolved-request hook, is one of the request funnel's sinks beside the
+event log and telemetry. A detached machine pays one ``is None`` check
+per instrumented site (one emptiness check of the sink tuple at each
+funnel site), and an attached tracer only ever *reads*, so simulated
 cycles and fingerprints are bit-identical with tracing on or off
 (``tests/obs/test_trace_equivalence.py`` enforces this, also against the
 reference snoop walks of ``tests/system/reference_snoop.py``).
@@ -219,10 +221,11 @@ class SimTracer:
             "direct_eligible": not state.broadcast_needed[request.index],
         }))
 
-    def route(self, request, path, address: int, latency: int,
-              now: int) -> None:
-        """One external request resolved: the demand one stamps the
-        transaction's path; prefetches/castouts nest as children."""
+    def record(self, time: int, processor: int, request, address: int,
+               path, latency: int) -> None:
+        """One external request resolved (the request-funnel sink): the
+        demand one stamps the transaction's path; prefetches/castouts
+        nest as children."""
         txn = self._cur
         if txn is None:
             return
@@ -235,7 +238,7 @@ class SimTracer:
         else:
             name = "prefetch" if request_name.startswith("prefetch") \
                 else "nested"
-        txn.children.append((name, now, now + latency, {
+        txn.children.append((name, time, time + latency, {
             "request": request_name, "path": path_name, "latency": latency,
         }))
 

@@ -276,6 +276,47 @@ class ExternalRequestStats:
         return self.total_directs + self.total_no_requests
 
 
+class _RequestMetrics:
+    """Telemetry's request-funnel sink (installed by ``attach_telemetry``).
+
+    Per (processor, request, path) it counts the request mix and the
+    path, and observes the latency into the path's histogram. Each
+    metric is created when its first request resolves, so only paths
+    that occur appear in the registry.
+    """
+
+    __slots__ = ("_registry", "_metrics")
+
+    def __init__(self, registry) -> None:
+        self._registry = registry
+        self._metrics: Dict = {}
+
+    def record(self, time, processor, request, address, path, latency) -> None:
+        key = (processor, request, path)
+        metrics = self._metrics.get(key)
+        if metrics is None:
+            registry = self._registry
+            metrics = self._metrics[key] = (
+                registry.counter(
+                    f"machine.p{processor}.requests.{request.value}."
+                    f"{path.value}",
+                    help="per-processor request mix by routing path",
+                ),
+                registry.counter(
+                    f"machine.paths.{path.value}",
+                    help="external requests resolved via this path",
+                ),
+                registry.histogram(
+                    f"machine.latency.{path.value}",
+                    help="external latency of requests taking this path",
+                ),
+            )
+        mix_counter, path_counter, latency_hist = metrics
+        mix_counter.inc()
+        path_counter.inc()
+        latency_hist.observe(latency)
+
+
 class Machine:
     """The multiprocessor memory system (baseline or CGCT).
 
@@ -458,16 +499,17 @@ class Machine:
         self.event_log = None
         #: Optional telemetry registry (see attach_telemetry).
         self.telemetry = None
-        self._tel_event_metrics: Dict = {}
+        self._tel_requests = None
         self._tel_demand_hist = None
         self._tel_wb_direct = None
         self._tel_wb_broadcast = None
-        #: True when an event log or telemetry is attached; lets the
-        #: request funnel skip the _log_event call entirely otherwise.
-        self._log_enabled = False
         #: Optional causal span tracer (see attach_tracer). A detached
         #: machine pays one ``is None`` check per instrumented site.
         self._tracer = None
+        #: The request funnel's sinks: the ``record`` method of each
+        #: attached observer (see _rebuild_event_sinks). Empty when
+        #: nothing observes, so each funnel site pays one truth test.
+        self._event_sinks: Tuple = ()
 
     def _track_presence(self, node: ProcessorNode) -> None:
         """Wrap *node*'s residency callbacks to maintain the bitmasks.
@@ -1173,10 +1215,10 @@ class Machine:
         samples.append(latency)
         if len(samples) >= _FOLD_CHUNK:
             self._fold_latencies()
-        if self._log_enabled:
-            self._log_event(now, proc, request, path, address, latency)
-        if self._tracer is not None:
-            self._tracer.route(request, path, address, latency, now)
+        sinks = self._event_sinks
+        if sinks:
+            for record in sinks:
+                record(now, proc, request, address, path, latency)
         return latency + jitter
 
     def _no_request(
@@ -1198,12 +1240,10 @@ class Machine:
             request.fill_states[0],
             None, fill_l1d, fill_l1i, l1_writable, now, entry,
         )
-        if self._log_enabled:
-            self._log_event(now, proc, request, _PATH_NO_REQUEST,
-                            address, 0)
-        if self._tracer is not None:
-            self._tracer.route(request, _PATH_NO_REQUEST, address,
-                               0, now)
+        sinks = self._event_sinks
+        if sinks:
+            for record in sinks:
+                record(now, proc, request, address, _PATH_NO_REQUEST, 0)
         return 0
 
     def _direct_request(
@@ -1891,43 +1931,38 @@ class Machine:
         with the same hook methods). The machine calls it at each stage
         of every memory access — lookups, RCA routing decision, bus
         grant, phase-1/phase-2 snoops, DRAM, data transfer, fill,
-        castouts — with the cycle timestamps it already computed; the
-        tracer only observes, so simulated results are bit-identical
-        with or without it (the equivalence tests assert this). A
-        detached machine pays one ``is None`` check per site, like the
-        event funnel and telemetry.
+        castouts — with the cycle timestamps it already computed; its
+        ``record`` joins the request funnel's sinks. The tracer only
+        observes, so simulated results are bit-identical with or without
+        it (the equivalence tests assert this). A detached machine pays
+        one ``is None`` check per site, like telemetry.
         """
         self._tracer = tracer
         if tracer is not None:
             tracer.bind(self)
+        self._rebuild_event_sinks()
 
     def attach_event_log(self, log) -> None:
         """Record every resolved external request into *log*.
 
-        Pass an :class:`repro.system.eventlog.EventLog`; pass ``None``
-        to detach. With telemetry attached, the same stream also reaches
-        every registered event sink (``registry.add_event_sink``); a log
-        registered both ways receives each event once.
+        Pass an :class:`repro.system.eventlog.EventLog` (or any object
+        with the same ``record`` method); pass ``None`` to detach.
         """
         self.event_log = log
-        self._log_enabled = log is not None or self.telemetry is not None
-        self._refresh_log_funnel()
+        self._rebuild_event_sinks()
 
-    def _refresh_log_funnel(self) -> None:
-        """Install or clear the fast per-instance event funnel.
+    def _rebuild_event_sinks(self) -> None:
+        """Collect the attached observers' ``record`` methods.
 
-        A sink exposing a ``funnel(now, proc, request, path, address,
-        latency)`` callable (the call-site argument order) gets wired
-        straight into the request funnel as an instance-level
-        ``_log_event`` shadow — one bound call per event instead of the
-        generic method's log/telemetry dispatch. Only possible while no
-        telemetry registry needs the same stream.
+        Each funnel site hands every resolved request to each of these
+        as ``record(time, processor, request, address, path, latency)``,
+        with ``request`` and ``path`` the raw enum members.
         """
-        fast = getattr(self.event_log, "funnel", None)
-        if fast is not None and self.telemetry is None:
-            self._log_event = fast
-        else:
-            self.__dict__.pop("_log_event", None)
+        self._event_sinks = tuple(
+            observer.record
+            for observer in (self.event_log, self._tel_requests, self._tracer)
+            if observer is not None
+        )
 
     def attach_telemetry(self, registry) -> None:
         """Instrument the whole machine with a telemetry registry.
@@ -1936,7 +1971,7 @@ class Machine:
 
         * per-processor request-mix and per-path counters plus per-path
           latency histograms, fed from the external-request funnel
-          (:meth:`_log_event`);
+          (:class:`_RequestMetrics`);
         * the RCA region-state transition matrix (``rca.transitions``),
           recorded by the region protocol, region snoops, evictions and
           region-state prefetches;
@@ -1954,9 +1989,10 @@ class Machine:
         ``is None`` check per instrumented site, like the event log.
         """
         self.telemetry = registry
-        self._log_enabled = registry is not None or self.event_log is not None
-        self._refresh_log_funnel()
-        self._tel_event_metrics = {}
+        self._tel_requests = (
+            _RequestMetrics(registry) if registry is not None else None
+        )
+        self._rebuild_event_sinks()
         if registry is None:
             self._tel_demand_hist = None
             self._tel_wb_direct = None
@@ -2066,38 +2102,6 @@ class Machine:
                 rca_mean.set(sum(counts) / len(counts))
 
         registry.add_finalizer(set_final_gauges)
-
-    def _log_event(self, now, proc, request, path, address, latency) -> None:
-        log = self.event_log
-        if log is not None:
-            log.record(now, proc, request, address, path.value, latency)
-        tel = self.telemetry
-        if tel is None:
-            return
-        key = (proc, request, path)
-        metrics = self._tel_event_metrics.get(key)
-        if metrics is None:
-            metrics = self._tel_event_metrics[key] = (
-                tel.counter(
-                    f"machine.p{proc}.requests.{request.value}.{path.value}",
-                    help="per-processor request mix by routing path",
-                ),
-                tel.counter(
-                    f"machine.paths.{path.value}",
-                    help="external requests resolved via this path",
-                ),
-                tel.histogram(
-                    f"machine.latency.{path.value}",
-                    help="external latency of requests taking this path",
-                ),
-            )
-        mix_counter, path_counter, latency_hist = metrics
-        mix_counter.inc()
-        path_counter.inc()
-        latency_hist.observe(latency)
-        for sink in tel.event_sinks:
-            if sink is not log:
-                sink.record(now, proc, request, address, path.value, latency)
 
     # ------------------------------------------------------------------
     # Run-level metrics

@@ -22,12 +22,13 @@ registry also owns:
   the previous sample is recorded into an :class:`IntervalSeries`, which
   makes interval totals reconcile *exactly* with the cumulative counter
   they sample (``sum(series) == final - baseline``);
-* **event sinks** — objects with an
-  ``record(time, proc, request, address, path, latency)`` method (the
-  existing :class:`~repro.system.eventlog.EventLog` satisfies this
-  structurally) that receive every resolved external request;
 * **finalizers** — callbacks run once at end of run with the final
   simulated time, used to set end-of-run gauges such as bus utilisation.
+
+Resolved external requests reach the registry through the machine's
+request funnel, which ``Machine.attach_telemetry`` subscribes the
+per-path metrics to; an :class:`~repro.system.eventlog.EventLog` is
+attached to the machine beside it, not to the registry.
 
 Cost discipline: a machine without telemetry attached pays exactly one
 ``is None`` check per instrumented site — the same contract as the event
@@ -394,7 +395,7 @@ class _Probe:
 
 
 class TelemetryRegistry:
-    """Hierarchical metric store with interval sampling and event sinks.
+    """Hierarchical metric store with interval sampling and finalizers.
 
     Parameters
     ----------
@@ -415,7 +416,6 @@ class TelemetryRegistry:
         self._metrics: Dict[str, object] = {}
         self._probes: List[_Probe] = []
         self._finalizers: List[Callable[[int], None]] = []
-        self.event_sinks: List = []
         self._next_sample = interval
         self.finalized_at: Optional[int] = None
 
@@ -500,11 +500,6 @@ class TelemetryRegistry:
         """Run ``fn(end_time)`` once when the run finalises."""
         if self.enabled:
             self._finalizers.append(fn)
-
-    def add_event_sink(self, sink) -> None:
-        """Register a coherence-event sink (``record(...)`` protocol)."""
-        if self.enabled and sink is not None and sink not in self.event_sinks:
-            self.event_sinks.append(sink)
 
     # ------------------------------------------------------------------
     # Sampling (driven by the simulator loop)

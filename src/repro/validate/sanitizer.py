@@ -15,7 +15,9 @@ in :mod:`repro.validate.invariants`. Two modes trade coverage for cost:
 The sanitizer only reads machine state, so simulation results are
 bit-identical with and without it. On a violation it writes a
 **diagnostics bundle** — a JSON file with the configuration, seed, the
-last-K coherence events, a telemetry snapshot when telemetry was
+last-K coherence events (read from the machine's event log; :meth:`bind`
+attaches an :class:`~repro.system.eventlog.EventLog` of ``keep_events``
+when none is attached), a telemetry snapshot when telemetry was
 attached, and the violations themselves — then raises
 :class:`~repro.common.errors.InvariantViolation` pointing at the bundle.
 
@@ -35,11 +37,11 @@ import dataclasses
 import gc
 import json
 import re
-from collections import deque
 from pathlib import Path
 from typing import List, Optional
 
 from repro.common.errors import ConfigurationError, InvariantViolation
+from repro.system.eventlog import EventLog
 from repro.validate.invariants import check_lines, check_machine, check_regions
 
 #: Default check cadence per mode, in processor steps.
@@ -48,46 +50,6 @@ _DEFAULT_EVERY = {"sampled": 4096, "deep": 256}
 #: Sampled-mode window sizes per trigger.
 _SAMPLE_LINES = 128
 _SAMPLE_REGIONS = 64
-
-
-class _EventRing:
-    """Minimal event sink: a bounded ring of plain tuples.
-
-    Satisfies the machine's event-sink protocol at a fraction of
-    :class:`~repro.system.eventlog.EventLog`'s cost, so attaching the
-    sanitizer to an uninstrumented machine stays within the sampled-mode
-    overhead budget.
-    """
-
-    __slots__ = ("_events",)
-
-    def __init__(self, capacity: int) -> None:
-        self._events = deque(maxlen=capacity)
-
-    def record(self, time, processor, request, address, path, latency) -> None:
-        # Raw args only — the enum .value lookups wait until tail(), off
-        # the simulation's hot path.
-        self._events.append((time, processor, request, address, path, latency))
-
-    def funnel(self, now, proc, request, path, address, latency) -> None:
-        # Fast sink the machine installs as its per-instance _log_event
-        # shadow: call-site argument order, raw enums, one bound call
-        # per event.
-        self._events.append((now, proc, request, address, path, latency))
-
-    def tail(self, n: Optional[int] = None) -> List[dict]:
-        events = list(self._events)
-        if n is not None:
-            events = events[-n:]
-        return [
-            {
-                "time": t, "processor": p, "request": r.value,
-                "address": a,
-                "path": path if isinstance(path, str) else path.value,
-                "latency": lat,
-            }
-            for t, p, r, a, path, lat in events
-        ]
 
 
 class CoherenceSanitizer:
@@ -144,7 +106,6 @@ class CoherenceSanitizer:
         self.regions_checked = 0
         self._line_cursor = 0
         self._region_cursor = 0
-        self._ring: Optional[_EventRing] = None
         self.flight_recorder = flight_recorder
         self.flight_depth = int(flight_depth)
         self._flight = None
@@ -156,19 +117,17 @@ class CoherenceSanitizer:
     ) -> None:
         """Attach to *machine* before a run.
 
-        When the machine has no event log, a lightweight ring sink is
+        When the machine has no event log, an
+        :class:`~repro.system.eventlog.EventLog` of ``keep_events`` is
         attached so a failure bundle can still show the last-K events;
         unless disabled, a flight-recorder tracer is attached the same
-        way (an existing tracer is reused, not replaced).
+        way. An existing log or tracer is reused, not replaced.
         """
         self.machine = machine
         self.workload = workload
         self.seed = seed
         if machine.event_log is None:
-            self._ring = _EventRing(self.keep_events)
-            machine.attach_event_log(self._ring)
-        else:
-            self._ring = None
+            machine.attach_event_log(EventLog(capacity=self.keep_events))
         self._flight = None
         if self.flight_recorder:
             if machine._tracer is None:
@@ -337,10 +296,8 @@ class CoherenceSanitizer:
         }
 
     def _recent_events(self) -> List[dict]:
-        if self._ring is not None:
-            return self._ring.tail(self.keep_events)
         log = self.machine.event_log
-        if log is None or not hasattr(log, "tail"):
+        if log is None:
             return []
         return [
             {

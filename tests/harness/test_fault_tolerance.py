@@ -372,129 +372,17 @@ class TestRetryPolicyMaxDelay:
 
 
 # ----------------------------------------------------------------------
-# Circuit breaker: half-open probe semantics
+# Circuit breaker: a consecutive-fault counter
 # ----------------------------------------------------------------------
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
-def make_breaker(**kwargs):
-    from repro.harness.supervisor import CircuitBreaker
-
-    clock = FakeClock()
-    kwargs.setdefault("threshold", 2)
-    kwargs.setdefault("cooldown", 10.0)
-    return CircuitBreaker(clock=clock, **kwargs), clock
-
-
-def trip(breaker):
-    while breaker.state != "open":
-        breaker.record_fault()
-
-
 class TestCircuitBreakerHalfOpen:
     def test_legacy_default_trips_permanently(self):
         from repro.harness.supervisor import CircuitBreaker
 
-        breaker = CircuitBreaker(threshold=2)  # cooldown=None
+        breaker = CircuitBreaker(threshold=2)
         breaker.record_fault()
         assert not breaker.tripped
         breaker.record_fault()
         assert breaker.tripped
-        assert breaker.state == "open"
-        assert not breaker.allow_dispatch()
-
-    def test_open_transitions_to_half_open_after_cooldown(self):
-        breaker, clock = make_breaker()
-        trip(breaker)
-        assert not breaker.tripped  # cooldown set: trip is provisional
-        assert not breaker.allow_dispatch()
-        clock.now = 9.999
-        assert breaker.state == "open"
-        clock.now = 10.0
-        assert breaker.state == "half-open"
-
-    def test_half_open_admits_exactly_one_probe(self):
-        breaker, clock = make_breaker()
-        trip(breaker)
-        clock.now = 10.0
-        assert breaker.allow_dispatch()       # the probe
-        assert not breaker.allow_dispatch()   # a second task: refused
-        assert not breaker.begin_probe()
-
-    def test_probe_success_closes_the_breaker(self):
-        breaker, clock = make_breaker()
-        trip(breaker)
-        clock.now = 10.0
-        assert breaker.allow_dispatch()
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.allow_dispatch()
-        assert breaker.consecutive_faults == 0
-        assert breaker.failed_probes == 0
-
-    def test_probe_fault_reopens_with_escalated_cooldown(self):
-        breaker, clock = make_breaker()
-        trip(breaker)
-        clock.now = 10.0
-        assert breaker.allow_dispatch()
-        breaker.record_fault()                # probe died
-        assert breaker.state == "open"
-        clock.now = 10.0 + 10.0               # base cooldown: not enough
-        assert breaker.state == "open"
-        clock.now = 10.0 + 20.0               # doubled after 1 failed probe
-        assert breaker.state == "half-open"
-
-    def test_probe_exhaustion_trips_for_good(self):
-        breaker, clock = make_breaker(max_probes=2)
-        trip(breaker)
-        for _ in range(2):
-            clock.now += 1000.0               # past any cooldown
-            assert breaker.allow_dispatch()
-            breaker.record_fault()
-        assert breaker.tripped
-        clock.now += 10000.0
-        assert breaker.state == "open"        # never half-open again
-        assert not breaker.allow_dispatch()
-
-    def test_straggler_fault_in_half_open_burns_no_probe(self):
-        """A task dispatched before the trip that faults during the
-        half-open window (no probe admitted) re-opens the breaker but
-        must not consume a probe or escalate the cool-down — otherwise
-        stragglers could exhaust ``max_probes`` and permanently trip
-        the breaker without a single trial task being dispatched."""
-        breaker, clock = make_breaker(max_probes=2)
-        trip(breaker)
-        for _ in range(5):            # far more stragglers than probes
-            clock.now += 10.0         # base cool-down, never escalated
-            assert breaker.state == "half-open"
-            breaker.record_fault()    # straggler: no probe was admitted
-            assert breaker.state == "open"
-        assert breaker.failed_probes == 0
-        assert not breaker.tripped
-        clock.now += 10.0
-        assert breaker.allow_dispatch()   # the real probe finally runs
-        breaker.record_success()
-        assert breaker.state == "closed"
-
-    def test_full_cycle_open_half_open_closed(self):
-        breaker, clock = make_breaker()
-        assert breaker.state == "closed"
-        trip(breaker)
-        assert breaker.state == "open"
-        clock.now = 50.0
-        assert breaker.state == "half-open"
-        assert breaker.allow_dispatch()
-        breaker.record_success()
-        assert breaker.state == "closed"
-        # Healthy again: faults re-trip at the same threshold.
-        trip(breaker)
-        assert breaker.state == "open"
-        assert not breaker.tripped
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from repro.coherence.requests import RequestType
 from repro.system.eventlog import EventLog
-from repro.system.machine import Machine
+from repro.system.machine import Machine, RequestPath
 
 from tests.conftest import make_config
 
@@ -48,17 +48,19 @@ class TestRecording:
     def test_capacity_is_bounded(self):
         log = EventLog(capacity=4)
         for i in range(10):
-            log.record(i, 0, RequestType.READ, i * 64, "broadcast", 250)
+            log.record(i, 0, RequestType.READ, i * 64,
+                       RequestPath.BROADCAST, 250)
         assert len(log) == 4
         assert log.recorded == 10
         assert [e.time for e in log] == [6, 7, 8, 9]
+        assert [e.time for e in log.tail(2)] == [8, 9]
 
 
 class TestQueries:
     def _fill(self, log):
-        log.record(0, 0, RequestType.READ, 0x1000, "broadcast", 250)
-        log.record(10, 1, RequestType.RFO, 0x1040, "direct", 200)
-        log.record(20, 0, RequestType.IFETCH, 0x9000, "direct", 181)
+        log.record(0, 0, RequestType.READ, 0x1000, RequestPath.BROADCAST, 250)
+        log.record(10, 1, RequestType.RFO, 0x1040, RequestPath.DIRECT, 200)
+        log.record(20, 0, RequestType.IFETCH, 0x9000, RequestPath.DIRECT, 181)
 
     def test_for_processor(self):
         log = EventLog()

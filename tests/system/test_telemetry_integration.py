@@ -4,11 +4,15 @@ The whole subsystem's contract is that attaching a registry records the
 simulation and changes nothing about it — same cycles, same stats, same
 everything, for baseline and CGCT machines, with and without warm-up.
 These tests also pin down the reconciliation property (interval series
-totals equal end-of-run aggregates) and the event-sink wiring.
+totals equal end-of-run aggregates) and the one event stream every
+request observer reads.
 """
 
 import pytest
 
+from repro.harness.perfbench import result_fingerprint
+from repro.obs.analyze import critical_path
+from repro.obs.simtrace import SimTracer
 from repro.system.config import SystemConfig
 from repro.system.eventlog import EventLog
 from repro.system.simulator import Simulator, run_workload
@@ -125,29 +129,37 @@ def test_finalizer_gauges_are_set():
         pytest.approx(result.rca_mean_line_count)
 
 
-def test_event_log_registered_as_sink_sees_each_event_once():
-    config = SystemConfig.paper_cgct()
-    workload = small_workload(config, ops=1500)
-    registry = TelemetryRegistry()
-    log = EventLog(capacity=1 << 20).register(registry)
-    simulator = Simulator(config, seed=0, telemetry=registry)
-    simulator.machine.attach_event_log(log)  # attached both ways
-    result = simulator.run(workload, warmup_fraction=0.0)
-    castouts = (registry.get("machine.writebacks.direct").value
-                + registry.get("machine.writebacks.broadcast").value)
-    assert log.recorded == result.stats.total_external - castouts
-
-
 def test_sink_only_registration_receives_the_event_stream():
+    """Every request observer reads the one funnel: an event log, a
+    telemetry registry and a full-sampling span tracer attached to one
+    machine see the same resolved requests, and none of them perturbs
+    the run."""
     config = SystemConfig.paper_cgct()
     workload = small_workload(config, ops=1500)
     registry = TelemetryRegistry()
-    log = EventLog(capacity=1 << 20).register(registry)
-    result = run_workload(
-        config, workload, seed=0, warmup_fraction=0.0, telemetry=registry,
+    tracer = SimTracer(sample=1)
+    log = EventLog(capacity=1 << 20)
+    simulator = Simulator(config, seed=0, telemetry=registry, tracer=tracer)
+    simulator.machine.attach_event_log(log)
+    result = simulator.run(workload, warmup_fraction=0.0)
+
+    paths = sum(
+        m.value for m in registry.metrics()
+        if m.kind == "counter" and m.name.startswith("machine.paths.")
     )
     castouts = (registry.get("machine.writebacks.direct").value
                 + registry.get("machine.writebacks.broadcast").value)
-    assert log.recorded == result.stats.total_external - castouts
-    event = log.tail(1)[0]
-    assert isinstance(event.path, str)  # sinks get the plain path value
+    assert log.recorded == paths == result.stats.total_external - castouts
+    assert isinstance(log.tail(1)[0].path, str)  # read as the plain value
+
+    report = critical_path(list(tracer.to_spans()),
+                           telemetry=registry.to_dict())
+    recon = report["reconciliation"]
+    assert sum(entry["trace_count"] for entry in recon.values()) == paths
+    for path, entry in recon.items():
+        assert entry["trace_count"] == entry["telemetry_count"], path
+        assert entry["trace_mean"] == pytest.approx(
+            entry["telemetry_mean"]), path
+
+    plain = run_workload(config, workload, seed=0, warmup_fraction=0.0)
+    assert result_fingerprint(result) == result_fingerprint(plain)

@@ -304,21 +304,6 @@ class TestProbesAndSampling:
         assert series.total == 0.0
 
 
-class TestEventSinks:
-    def test_sinks_deduplicate(self):
-        reg = TelemetryRegistry()
-        sink = object()
-        reg.add_event_sink(sink)
-        reg.add_event_sink(sink)
-        reg.add_event_sink(None)
-        assert reg.event_sinks == [sink]
-
-    def test_disabled_registry_accepts_no_sinks(self):
-        reg = TelemetryRegistry(enabled=False)
-        reg.add_event_sink(object())
-        assert reg.event_sinks == []
-
-
 class TestDisabledMode:
     def test_factories_hand_out_shared_null_singletons(self):
         reg = TelemetryRegistry(enabled=False)

@@ -4,6 +4,7 @@ import json
 
 from repro.coherence.requests import RequestType
 from repro.system.eventlog import EventLog
+from repro.system.machine import RequestPath
 from repro.telemetry.registry import TelemetryRegistry
 from repro.telemetry.tracedump import merged_records, render, save_trace_dump
 
@@ -11,9 +12,9 @@ from repro.telemetry.tracedump import merged_records, render, save_trace_dump
 def make_sources():
     """An event log and a registry covering two 100-cycle windows."""
     log = EventLog(capacity=16)
-    log.record(10, 0, RequestType.READ, 0x1000, "broadcast", 50)
-    log.record(99, 1, RequestType.RFO, 0x2000, "direct", 20)
-    log.record(150, 0, RequestType.IFETCH, 0x3000, "no_request", 0)
+    log.record(10, 0, RequestType.READ, 0x1000, RequestPath.BROADCAST, 50)
+    log.record(99, 1, RequestType.RFO, 0x2000, RequestPath.DIRECT, 20)
+    log.record(150, 0, RequestType.IFETCH, 0x3000, RequestPath.NO_REQUEST, 0)
     registry = TelemetryRegistry(interval=100)
     series = registry.interval_series("bus.broadcasts")
     series.record(10, 1.0)
@@ -57,15 +58,15 @@ class TestMergedRecords:
         # Several grants can land on the same cycle; the merge must not
         # shuffle them (the sort is stable over the (time, kind) key).
         log = EventLog(capacity=16)
-        log.record(50, 3, RequestType.READ, 0x1000, "broadcast", 10)
-        log.record(50, 1, RequestType.RFO, 0x2000, "direct", 20)
-        log.record(50, 2, RequestType.READ, 0x3000, "broadcast", 30)
+        log.record(50, 3, RequestType.READ, 0x1000, RequestPath.BROADCAST, 10)
+        log.record(50, 1, RequestType.RFO, 0x2000, RequestPath.DIRECT, 20)
+        log.record(50, 2, RequestType.READ, 0x3000, RequestPath.BROADCAST, 30)
         records = merged_records(None, log)
         assert [r["processor"] for r in records] == [3, 1, 2]
 
     def test_event_precedes_interval_at_the_same_time(self):
         log = EventLog(capacity=4)
-        log.record(99, 0, RequestType.READ, 0x1000, "broadcast", 10)
+        log.record(99, 0, RequestType.READ, 0x1000, RequestPath.BROADCAST, 10)
         registry = TelemetryRegistry(interval=100)
         registry.interval_series("bus.broadcasts").record(0, 1.0)
         kinds = [r["kind"] for r in merged_records(registry, log)]

@@ -17,7 +17,7 @@ from repro.rca import protocol as protocol_module
 from repro.rca.protocol import RegionProtocol
 from repro.system.config import SystemConfig
 from repro.system.simulator import run_workload
-from repro.validate.sanitizer import CoherenceSanitizer, _EventRing
+from repro.validate.sanitizer import CoherenceSanitizer
 from repro.workloads.benchmarks import build_benchmark
 
 
@@ -126,16 +126,3 @@ class TestMutationDetection:
         second = sanitizer.write_bundle(["v"], now=20)
         assert first.name == "bundle-barnes-seed3.json"
         assert second.name == "bundle-barnes-seed3-1.json"
-
-
-class TestEventRing:
-    def test_ring_is_bounded_and_tail_ordered(self):
-        class _Req:
-            value = "read"
-
-        ring = _EventRing(capacity=4)
-        for t in range(10):
-            ring.record(t, 0, _Req(), 0x40 * t, "l2", 12)
-        tail = ring.tail(2)
-        assert [e["time"] for e in tail] == [8, 9]
-        assert len(ring.tail()) == 4
