@@ -149,11 +149,8 @@ def _telemetry_command(argv) -> int:
     )
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     with profiler.phase("export"):
-        tele_export.save_json(registry, out / "telemetry.json")
-        tele_export.save_csv(registry, out / "telemetry.csv")
-        tele_export.save_prometheus(registry, out / "telemetry.prom")
+        tele_export.save_all(registry, out)
         dumped = None
         if args.trace_dump:
             dumped = tracedump.save_trace_dump(
@@ -567,10 +564,7 @@ def _export_telemetry(cache, args, profiler, runlog) -> None:
     for registry in cache.telemetry_registries:
         merged.merge_from(registry)
     out = Path(args.telemetry_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    tele_export.save_json(merged, out / "telemetry.json")
-    tele_export.save_csv(merged, out / "telemetry.csv")
-    tele_export.save_prometheus(merged, out / "telemetry.prom")
+    tele_export.save_all(merged, out)
     print(f"[telemetry from {len(cache.telemetry_registries)} simulated "
           f"runs written to {out}/telemetry.{{json,csv,prom}}]")
     print(profiler.render())

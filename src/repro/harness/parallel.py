@@ -384,17 +384,6 @@ class ParallelRunner:
     check_invariants:
         "" (off), "sampled" or "deep": run the coherence sanitizer
         inside every simulation this sweep actually executes.
-    spans:
-        Optional :class:`~repro.obs.wallclock.WallSpanRecorder`. Each
-        :meth:`run` opens one ``sweep`` span and records one ``task``
-        span per executed cell (worker pid, cache status, attempt) and
-        one instant ``retry`` span per failed attempt, all parented so
-        a Perfetto view of the sweep attributes wall time directly.
-        Spans are recorded by the coordinator only — the single-writer
-        contract the run log already relies on.
-    span_parent:
-        Parent span id for the sweep span (a campaign running several
-        sweeps opens its own root span and passes its id here).
     """
 
     def __init__(
@@ -409,8 +398,6 @@ class ParallelRunner:
         checkpoint: Optional[SweepCheckpoint] = None,
         circuit_threshold: int = 4,
         check_invariants: str = "",
-        spans=None,
-        span_parent: Optional[str] = None,
         workload_cache: Optional[WorkloadStore] = None,
     ) -> None:
         self.workers = max(0, int(workers))
@@ -423,8 +410,6 @@ class ParallelRunner:
         self.checkpoint = checkpoint
         self.circuit_threshold = max(1, int(circuit_threshold))
         self.check_invariants = check_invariants
-        self.spans = spans
-        self.span_parent = span_parent
         #: Materialized workload store shared with the workers; defaults
         #: to the process-wide active store (env-activated or wired by
         #: the CLI), so sweeps reuse generated traces without plumbing.
@@ -436,7 +421,6 @@ class ParallelRunner:
         #: Indices of this sweep's checkpoint-completed cells on disk.
         self._resumed: Set[int] = set()
         self._version: Optional[str] = None
-        self._sweep_span: Optional[str] = None
 
     # ------------------------------------------------------------------
     def run(self, tasks: Sequence[ExperimentTask]) -> List[Optional[RunResult]]:
@@ -469,12 +453,6 @@ class ParallelRunner:
                   cache="on" if cache_dir else "off",
                   resumed=len(self._resumed),
                   check_invariants=self.check_invariants or "off")
-        if self.spans is not None:
-            self._sweep_span = self.spans.start(
-                "sweep", parent_id=self.span_parent,
-                tasks=len(envelopes), workers=self.workers or 1,
-                resumed=len(self._resumed),
-            )
         started = time.perf_counter()
         # A cell on disk only needs loading: it runs here, through the
         # same executor and callbacks as every other cell, so only cells
@@ -522,13 +500,6 @@ class ParallelRunner:
             # coordinator itself built (serial path, fallback, resume).
             self._log("workload-cache", dir=str(store.cache_dir),
                       entries=len(store), **store.stats())
-        if self.spans is not None:
-            self.spans.finish(
-                self._sweep_span, completed=len(outcomes),
-                failures=len(self.failures),
-                quarantined=len(self.quarantined),
-            )
-            self._sweep_span = None
         if self.checkpoint is not None and not self.failures:
             self.checkpoint.finish()
         if self.failures and self.strict:
@@ -605,16 +576,6 @@ class ParallelRunner:
                   status="error", error=text, attempt=attempt,
                   will_retry=will_retry, kind=failure.kind,
                   failure_class=failure.failure_class.value)
-        if self.spans is not None:
-            instant = self.spans.now()
-            self.spans.add(
-                "retry", instant, instant, parent_id=self._sweep_span,
-                index=envelope.index,
-                benchmark=envelope.task.benchmark,
-                attempt=attempt, kind=failure.kind,
-                failure_class=failure.failure_class.value,
-                will_retry=will_retry,
-            )
         if will_retry:
             return
         entry = {
@@ -643,22 +604,9 @@ class ParallelRunner:
             and outcome.cache == "hit" else {}
         self._log("run", index=envelope.index, task=envelope.task.describe(),
                   status="ok", cache=outcome.cache, **resumed,
-                  wall_s=round(outcome.wall_seconds, 4),
+                  wall_s=round(outcome.wall_seconds, 6),
                   worker=outcome.worker_pid,
                   peak_rss_kb=outcome.peak_rss_kb, attempt=attempt)
-        if self.spans is not None:
-            # The worker measured its own wall time; the span is placed
-            # retroactively, ending at the instant the outcome arrived.
-            end = self.spans.now()
-            self.spans.add(
-                "task", end - outcome.wall_seconds, end,
-                parent_id=self._sweep_span,
-                index=envelope.index,
-                benchmark=envelope.task.benchmark,
-                cache=outcome.cache,
-                worker_pid=outcome.worker_pid,
-                attempt=attempt,
-            )
 
 
 # ----------------------------------------------------------------------

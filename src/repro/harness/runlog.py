@@ -6,14 +6,19 @@ came from the result cache, how much memory the worker peaked at, and —
 on failure — the full traceback plus whether a retry follows. The format
 is one JSON object per line so logs can be tailed, grepped, appended to
 by successive invocations, and summarised without loading everything.
+It is also the harness's only host-time record: ``trace summary``,
+``critical-path`` and ``export`` read a run log as the sweep's
+wall-clock timeline (:func:`repro.obs.export.runlog_spans` derives one
+``sweep`` span per runner invocation, one ``task`` span per completed
+cell and one ``retry`` span per failed attempt).
 
 Every record carries ``schema: "runlog/v1"``, the writing ``hostname``
-and ``pid``, ``event`` and a Unix ``ts`` — the provenance stamps let
-logs from several machines or coordinator processes be concatenated and
-still attributed. Readers must tolerate records without the stamps:
-logs written before the ``runlog/v1`` tag (and hand-rolled test
-fixtures) simply lack them, and :func:`read_runlog` /
-:func:`summarize` treat them identically.
+and ``pid``, ``event`` and a Unix ``ts`` to the microsecond — the
+provenance stamps let logs from several machines or coordinator
+processes be concatenated and still attributed. Readers must tolerate
+records without the stamps: logs written before the ``runlog/v1`` tag
+(and hand-rolled test fixtures) simply lack them, and
+:func:`read_runlog` / :func:`summarize` treat them identically.
 
 Record shapes (beyond the common stamps):
 
@@ -24,8 +29,10 @@ Record shapes (beyond the common stamps):
 ``{"event": "run", "index": i, "task": {...}, "status": "ok",
 "cache": "hit|miss|off", "wall_s": f, "worker": pid,
 "peak_rss_kb": n, "attempt": k}``
-    One successful cell. Checkpoint-resumed cells carry ``"cache":
-    "hit"`` plus ``"resumed": true`` and ``"attempt": 0``.
+    One successful cell, logged when its outcome reaches the
+    coordinator: ``ts - wall_s`` is when it started. Checkpoint-resumed
+    cells carry ``"cache": "hit"`` plus ``"resumed": true``; their
+    ``attempt`` is 1, like every cell's first.
 ``{"event": "run", "index": i, "task": {...}, "status": "error",
 "error": traceback, "attempt": k, "will_retry": bool,
 "kind": "exception|timeout|crash", "failure_class":
@@ -63,17 +70,12 @@ RUNLOG_SCHEMA = "runlog/v1"
 
 
 class RunLog:
-    """Append-only JSON-lines writer (flushes + fsyncs every record).
+    """Append-only JSON-lines writer (flushes + fsyncs every record)."""
 
-    ``durable=False`` drops the per-record ``fsync`` (flush only) for
-    hot paths where losing the tail on a power cut is acceptable.
-    """
-
-    def __init__(self, path: Union[str, Path], durable: bool = True) -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle = open(self.path, "a", encoding="utf-8")
-        self._durable = durable
         # Resolved once: the stamps are per-writer, not per-record.
         self._hostname = socket.gethostname()
         self._pid = os.getpid()
@@ -83,7 +85,7 @@ class RunLog:
         entry: Dict = {
             "schema": RUNLOG_SCHEMA,
             "event": event,
-            "ts": round(time.time(), 3),
+            "ts": round(time.time(), 6),
             "hostname": self._hostname,
             "pid": self._pid,
         }
@@ -91,8 +93,7 @@ class RunLog:
         self._handle.write(json.dumps(entry, sort_keys=True, default=str))
         self._handle.write("\n")
         self._handle.flush()
-        if self._durable:
-            os.fsync(self._handle.fileno())
+        os.fsync(self._handle.fileno())
         return entry
 
     def close(self) -> None:

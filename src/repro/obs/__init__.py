@@ -15,12 +15,13 @@ Two layers share one span schema (``cgct-span/v1``, see
   funnel, and never changes simulated results (equivalence-tested).
   A bounded ring configuration turns the same tracer into the *flight
   recorder* that diagnostics bundles embed.
-* **Harness layer** (:mod:`repro.obs.wallclock`): wall-clock spans for
-  campaign → sweep → task → retry, threaded through the parallel
-  runner and the supervised pool with parent ids.
+* **Harness layer**: wall-clock sweep → task / retry spans, derived on
+  read from a sweep's run log (:func:`repro.obs.export.runlog_spans`),
+  so every real sweep — cache hits and resumed cells included — has a
+  timeline without a second recorder.
 
-:mod:`repro.obs.export` writes/reads span JSONL and converts either
-layer to Chrome trace-event JSON (loadable in Perfetto);
+:mod:`repro.obs.export` writes/reads span JSONL (and run logs) and
+converts either layer to Chrome trace-event JSON (loadable in Perfetto);
 :mod:`repro.obs.analyze` summarises traces and reconciles the
 critical-path latency decomposition against telemetry histograms;
 :mod:`repro.obs.cli` is the ``trace`` subcommand. See docs/tracing.md.
@@ -28,6 +29,5 @@ critical-path latency decomposition against telemetry histograms;
 
 from repro.obs.simtrace import SimTracer
 from repro.obs.span import SPAN_SCHEMA, make_span
-from repro.obs.wallclock import WallSpanRecorder
 
-__all__ = ["SPAN_SCHEMA", "SimTracer", "WallSpanRecorder", "make_span"]
+__all__ = ["SPAN_SCHEMA", "SimTracer", "make_span"]

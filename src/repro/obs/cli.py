@@ -4,36 +4,29 @@
 
     python -m repro.harness trace record barnes --config 8p-cgct \\
         --ops 4000 --out trace.jsonl --telemetry telemetry.json
-    python -m repro.harness trace record --sweep fig2 --quick \\
-        --workers 2 --out sweep.jsonl
     python -m repro.harness trace summary trace.jsonl
     python -m repro.harness trace critical-path trace.jsonl \\
         --telemetry telemetry.json
-    python -m repro.harness trace export --chrome trace.jsonl -o trace.json
+    python -m repro.harness trace export trace.jsonl -o trace.json
 
-``record`` produces a JSONL span file on one of the two clocks:
-simulation mode runs one benchmark with a :class:`SimTracer` attached
-(cycles clock; ``--sample N`` keeps every Nth access), ``--sweep`` mode
-runs the named experiments through the parallel harness with a
-:class:`WallSpanRecorder` (wall clock, one task span per cell).
-``export --chrome`` converts either kind to the Chrome trace-event JSON
-that https://ui.perfetto.dev loads directly. See docs/tracing.md.
+``record`` runs one benchmark with a :class:`SimTracer` attached and
+writes a JSONL span file on the cycles clock (``--sample N`` keeps every
+Nth access). Every other subcommand also reads a sweep's run log
+(``python -m repro.harness fig2 --runlog sweep.jsonl``) as wall-clock
+spans: one sweep span per runner invocation, one task span per cell.
+``export`` converts either kind to the Chrome trace-event JSON that
+https://ui.perfetto.dev loads directly. See docs/tracing.md.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import sys
 
 
 def _record(args) -> int:
-    from repro.obs.export import write_spans
-
-    if args.sweep:
-        return _record_sweep(args)
-
     from repro.harness.perfbench import bench_config
+    from repro.obs.export import write_spans
     from repro.obs.simtrace import SimTracer
     from repro.system.simulator import Simulator
     from repro.workloads.benchmarks import build_benchmark
@@ -62,38 +55,6 @@ def _record(args) -> int:
         tele_export.save_json(telemetry, args.telemetry)
         print(f"[telemetry snapshot written to {args.telemetry} — "
               f"feed it to 'trace critical-path --telemetry']")
-    return 0
-
-
-def _record_sweep(args) -> int:
-    from repro.harness.experiments import EXPERIMENTS, RunOptions
-    from repro.harness.parallel import warm_cache
-    from repro.harness.runcache import RunCache
-    from repro.obs.export import write_spans
-    from repro.obs.wallclock import WallSpanRecorder
-
-    unknown = [e for e in args.target.split(",") + args.experiments
-               if e and e not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiment ids: {unknown} "
-              f"(choose from {', '.join(EXPERIMENTS)})", file=sys.stderr)
-        return 2
-    wanted = [e for e in args.target.split(",") + args.experiments if e]
-    options = RunOptions(ops_per_processor=args.ops, seeds=1,
-                         warmup_fraction=args.warmup or 0.4)
-    if args.quick:
-        options = options.quick()
-    spans = WallSpanRecorder()
-    campaign = spans.start("campaign", experiments=",".join(wanted),
-                           workers=args.workers)
-    cells = warm_cache(wanted, options, RunCache(disk=None),
-                       workers=args.workers, spans=spans,
-                       span_parent=campaign)
-    spans.finish(campaign, cells=cells)
-    count = write_spans(spans.to_spans(), args.out)
-    print(f"[{','.join(wanted)}: {cells} cells across "
-          f"{args.workers or 1} worker(s); {count} wall spans "
-          f"written to {args.out}]")
     return 0
 
 
@@ -130,10 +91,6 @@ def _export(args) -> int:
         write_chrome_trace,
     )
 
-    if not args.chrome:
-        print("trace export: --chrome is the only supported format",
-              file=sys.stderr)
-        return 2
     trace = write_chrome_trace(read_spans(args.file), args.out)
     events = validate_chrome_trace(trace)
     print(f"[{events} events written to {args.out}; load it at "
@@ -151,16 +108,9 @@ def trace_command(argv) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     record = sub.add_parser(
-        "record", help="run a traced benchmark (or a traced sweep) and "
-                       "write a JSONL span file")
-    record.add_argument("target",
-                        help="benchmark name (e.g. barnes), or experiment "
-                             "id(s) with --sweep")
-    record.add_argument("experiments", nargs="*",
-                        help="additional experiment ids (--sweep only)")
-    record.add_argument("--sweep", action="store_true",
-                        help="record harness wall-clock spans for an "
-                             "experiment sweep instead of a simulation")
+        "record", help="run a traced benchmark and write a JSONL span "
+                       "file")
+    record.add_argument("target", help="benchmark name (e.g. barnes)")
     record.add_argument("--config", default="8p-cgct",
                         help="perf-config name (default 8p-cgct)")
     record.add_argument("--ops", type=int, default=4_000,
@@ -173,28 +123,23 @@ def trace_command(argv) -> int:
                              "whole run so telemetry reconciles exactly)")
     record.add_argument("--sample", type=int, default=1,
                         help="capture every Nth access (default 1 = all)")
-    record.add_argument("--workers", type=int, default=0,
-                        help="worker processes for --sweep (default 0)")
-    record.add_argument("--quick", action="store_true",
-                        help="small sweep (--sweep only)")
     record.add_argument("--out", required=True, metavar="PATH",
                         help="JSONL span file to write")
     record.add_argument("--telemetry", metavar="PATH", default=None,
-                        help="also export the run's telemetry JSON "
-                             "(simulation mode only)")
+                        help="also export the run's telemetry JSON")
     record.set_defaults(func=_record)
 
     summary = sub.add_parser("summary",
                              help="counts, verdicts and latencies of a "
                                   "span file")
-    summary.add_argument("file", help="JSONL span file")
+    summary.add_argument("file", help="JSONL span file or run log")
     summary.set_defaults(func=_summary)
 
     critical = sub.add_parser(
         "critical-path",
         help="per-path latency decomposition, optionally reconciled "
              "against a telemetry JSON export")
-    critical.add_argument("file", help="JSONL span file")
+    critical.add_argument("file", help="JSONL span file or run log")
     critical.add_argument("--telemetry", metavar="PATH", default=None,
                           help="telemetry JSON from the same run")
     critical.add_argument("--json", metavar="PATH", default=None,
@@ -202,10 +147,9 @@ def trace_command(argv) -> int:
     critical.set_defaults(func=_critical_path)
 
     export = sub.add_parser(
-        "export", help="convert a span file to another format")
-    export.add_argument("file", help="JSONL span file")
-    export.add_argument("--chrome", action="store_true",
-                        help="Chrome trace-event JSON (Perfetto-loadable)")
+        "export", help="convert a span file or run log to Chrome "
+                       "trace-event JSON (Perfetto-loadable)")
+    export.add_argument("file", help="JSONL span file or run log")
     export.add_argument("-o", "--out", required=True, metavar="PATH",
                         help="output file")
     export.set_defaults(func=_export)

@@ -2,9 +2,12 @@
 
 Span traces are stored as JSONL — one ``cgct-span/v1`` record per line
 (:func:`write_spans` / :func:`read_spans`) — so they stream, tail and
-concatenate. :func:`to_chrome_trace` converts a list of spans from
-*either* layer into the Chrome trace-event JSON object format (the
-"JSON Object Format" of the trace-event spec), which both
+concatenate. The harness layer writes no span file of its own: a
+sweep's ``--runlog`` already holds every fact its timeline needs, and
+:func:`read_spans` derives the wall-clock spans from it on read
+(:func:`runlog_spans`). :func:`to_chrome_trace` converts a list of
+spans from *either* layer into the Chrome trace-event JSON object
+format (the "JSON Object Format" of the trace-event spec), which both
 ``chrome://tracing`` and https://ui.perfetto.dev load directly:
 
 * **cycles** spans map one simulated cycle to one microsecond of trace
@@ -31,6 +34,7 @@ from typing import Dict, Iterable, List
 from repro.obs.span import (
     CLOCK_CYCLES,
     CLOCK_WALL,
+    make_span,
     validate_span,
 )
 
@@ -51,7 +55,12 @@ def write_spans(spans: Iterable[Dict], path) -> int:
 
 
 def read_spans(path) -> List[Dict]:
-    """Read a JSONL span file, validating every record."""
+    """Read a JSONL span file, validating every record.
+
+    A run log (records with an ``event`` key) is read with
+    :func:`~repro.harness.runlog.read_runlog`, which drops a torn tail,
+    and yields its :func:`runlog_spans`.
+    """
     spans = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -62,11 +71,68 @@ def read_spans(path) -> List[Dict]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from exc
+            if "event" in record:
+                from repro.harness.runlog import read_runlog
+
+                return runlog_spans(read_runlog(path))
             try:
                 validate_span(record)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
             spans.append(record)
+    return spans
+
+
+def runlog_spans(records: Iterable[Dict]) -> List[Dict]:
+    """The wall-clock spans of a run log's sweeps.
+
+    Each writer (trace id ``"<hostname>-<pid>"``, or ``"runlog"`` for
+    records without the ``runlog/v1`` stamps) contributes one ``sweep``
+    span per ``sweep-start``…``sweep-end`` pair — ending at its last
+    record if the sweep was killed before its end — with a ``task`` span
+    ``[ts - wall_s, ts]`` per completed cell and an instant ``retry``
+    span per failed attempt beneath it. Other events are ignored.
+    """
+    spans: List[Dict] = []
+    sweeps: Dict[str, Dict] = {}        # trace id -> its open sweep span
+
+    def add(trace_id, name, start, end, parent, attrs) -> Dict:
+        span = make_span(trace_id, f"{trace_id}:{len(spans)}",
+                         parent["span_id"] if parent else None, name,
+                         CLOCK_WALL, start, end, attrs)
+        spans.append(span)
+        return span
+
+    def pick(record, keys) -> Dict:
+        return {key: record[key] for key in keys}
+
+    for record in records:
+        trace_id = (f"{record['hostname']}-{record['pid']}"
+                    if "pid" in record else "runlog")
+        event, ts = record.get("event"), record.get("ts")
+        if event == "sweep-start":
+            sweeps[trace_id] = add(trace_id, "sweep", ts, ts, None, pick(
+                record, ("tasks", "workers", "resumed")))
+            continue
+        sweep = sweeps.get(trace_id)
+        if sweep is not None:
+            sweep["end"] = max(sweep["end"], ts)
+        if event == "sweep-end" and sweep is not None:
+            sweep["attrs"].update(pick(
+                record, ("completed", "failures", "quarantined")))
+            del sweeps[trace_id]
+        elif event == "run" and record["status"] == "ok":
+            add(trace_id, "task", ts - record["wall_s"], ts, sweep, {
+                "benchmark": record["task"]["benchmark"],
+                "worker_pid": record["worker"],
+                **pick(record, ("index", "cache", "attempt")),
+            })
+        elif event == "run":
+            add(trace_id, "retry", ts, ts, sweep, {
+                "benchmark": record["task"]["benchmark"],
+                **pick(record, ("index", "attempt", "kind",
+                                "failure_class", "will_retry")),
+            })
     return spans
 
 

@@ -16,6 +16,8 @@ All three render the same :meth:`TelemetryRegistry.to_dict` snapshot:
   transition matrices one sample per exercised cell with
   ``from``/``event``/``to`` labels.
 
+:func:`save_all` writes all three side by side into one directory.
+
 The loaders exist so tests (and CI) can assert the exports round-trip;
 they are parsers of this module's own output, not general-purpose
 Prometheus/CSV readers.
@@ -27,6 +29,7 @@ import csv
 import io
 import json
 import re
+from pathlib import Path
 from typing import Dict
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
@@ -215,6 +218,15 @@ def save_prometheus(registry, path) -> None:
     """Write :func:`to_prometheus` output to *path*."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(to_prometheus(registry))
+
+
+def save_all(registry, out_dir) -> None:
+    """Write ``telemetry.{json,csv,prom}`` into *out_dir*, creating it."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    save_json(registry, out / "telemetry.json")
+    save_csv(registry, out / "telemetry.csv")
+    save_prometheus(registry, out / "telemetry.prom")
 
 
 _SAMPLE_RE = re.compile(

@@ -410,10 +410,7 @@ def _run_single(args, name: str, width: int, runlog) -> int:
         from repro.telemetry import export as tele_export
 
         out = Path(args.telemetry_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        tele_export.save_json(registry, out / "telemetry.json")
-        tele_export.save_csv(registry, out / "telemetry.csv")
-        tele_export.save_prometheus(registry, out / "telemetry.prom")
+        tele_export.save_all(registry, out)
         print(f"[telemetry written to {out}/telemetry.{{json,csv,prom}}]")
     if runlog is not None:
         runlog.record(

@@ -16,7 +16,8 @@ import pytest
 
 from repro.common.errors import SimulationError
 from repro.harness.cache import DiskCache
-from repro.harness.experiments import RunOptions, run_experiment
+from repro.harness.experiments import EXPERIMENTS, RunOptions, \
+    run_experiment
 from repro.harness.parallel import (
     ExperimentTask,
     ParallelRunner,
@@ -269,6 +270,21 @@ def test_warm_cache_preloads_so_experiments_run_from_memory():
     # The experiment added no new runs: everything came from the warmed
     # cache.
     assert len(cache) == 1
+
+
+@pytest.mark.parametrize("experiment_id", list(EXPERIMENTS))
+def test_warm_grid_is_each_experiments_grid(experiment_id):
+    """experiment_tasks mirrors every experiment's cache.run calls: a
+    drifted grid would simulate the missing cells serially, outside the
+    pool, after the warm-up."""
+    options = RunOptions(ops_per_processor=200, seeds=2,
+                         benchmarks=("barnes", "tpc-w"),
+                         region_sizes=(256, 512))
+    cache = RunCache()
+    cells = warm_cache([experiment_id], options, cache, workers=0)
+    assert len(cache) == cells
+    EXPERIMENTS[experiment_id](options, cache)
+    assert len(cache) == cells
 
 
 def test_run_experiment_with_workers_matches_serial():

@@ -179,13 +179,3 @@ def test_append_is_fsynced_by_default(tmp_path, monkeypatch):
     log.record("run", index=1)
     log.close()
     assert len(synced) == 2
-
-
-def test_durable_false_skips_fsync_but_still_flushes(tmp_path, monkeypatch):
-    synced = []
-    monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd))
-    log = RunLog(tmp_path / "run.jsonl", durable=False)
-    log.record("run", index=0)
-    log.close()
-    assert synced == []
-    assert read_runlog(tmp_path / "run.jsonl")[0]["index"] == 0

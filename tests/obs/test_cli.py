@@ -57,49 +57,35 @@ def test_critical_path_reconciles_and_writes_json(sim_trace, tmp_path,
 def test_export_chrome_validates(sim_trace, tmp_path, capsys):
     trace, _ = sim_trace
     out_path = tmp_path / "trace.json"
-    code = main(["trace", "export", str(trace), "--chrome",
-                 "-o", str(out_path)])
+    code = main(["trace", "export", str(trace), "-o", str(out_path)])
     assert code == 0
     assert "perfetto" in capsys.readouterr().out
     loaded = json.loads(out_path.read_text())
     assert validate_chrome_trace(loaded) == len(read_spans(trace))
 
 
-def test_export_without_chrome_flag_fails(sim_trace, tmp_path, capsys):
-    trace, _ = sim_trace
-    code = main(["trace", "export", str(trace),
-                 "-o", str(tmp_path / "x.json")])
-    assert code == 2
-    assert "--chrome" in capsys.readouterr().err
-
-
 def test_sweep_mode_records_wall_spans(tmp_path, capsys):
-    trace = tmp_path / "sweep.jsonl"
-    code = main(["trace", "record", "fig2", "--sweep", "--quick",
-                 "--ops", "400", "--out", str(trace)])
-    assert code == 0
-    spans = read_spans(trace)
-    names = [s["name"] for s in spans]
+    """A real sweep's run log is its wall-clock trace, cache hits too."""
+    runlog = tmp_path / "sweep.jsonl"
+    argv = ["fig2", "--quick", "--ops", "400", "--workers", "0",
+            "--cache-dir", str(tmp_path / "cache"), "--runlog", str(runlog)]
+    assert main(argv) == 0          # cold
+    assert main(argv) == 0          # warm: every cell a disk hit
+    spans = read_spans(runlog)
     assert all(s["clock"] == CLOCK_WALL for s in spans)
-    assert "campaign" in names
-    assert "sweep" in names
-    assert names.count("task") >= 2
-    # One shared trace id, rooted at the campaign.
-    assert len({s["trace_id"] for s in spans}) == 1
-    campaign = next(s for s in spans if s["name"] == "campaign")
-    sweep = next(s for s in spans if s["name"] == "sweep")
-    assert sweep["parent_id"] == campaign["span_id"]
-    # The wall trace exports and summarizes like any other.
+    sweeps = [s for s in spans if s["name"] == "sweep"]
+    assert len(sweeps) == 2
+    for sweep, cache in zip(sweeps, ("miss", "hit")):
+        tasks = [s for s in spans if s["name"] == "task"
+                 and s["parent_id"] == sweep["span_id"]]
+        assert len(tasks) >= 2
+        assert {t["attrs"]["cache"] for t in tasks} == {cache}
+        for task in tasks:
+            assert sweep["start"] <= task["start"] <= task["end"] \
+                <= sweep["end"]
+    # The derived trace exports and summarizes like any other.
     out_path = tmp_path / "sweep.json"
-    assert main(["trace", "export", str(trace), "--chrome",
-                 "-o", str(out_path)]) == 0
+    assert main(["trace", "export", str(runlog), "-o", str(out_path)]) == 0
     validate_chrome_trace(json.loads(out_path.read_text()))
-    assert main(["trace", "summary", str(trace)]) == 0
+    assert main(["trace", "summary", str(runlog)]) == 0
     assert "parallelism" in capsys.readouterr().out
-
-
-def test_sweep_mode_rejects_unknown_experiments(tmp_path, capsys):
-    code = main(["trace", "record", "not-an-experiment", "--sweep",
-                 "--out", str(tmp_path / "x.jsonl")])
-    assert code == 2
-    assert "unknown experiment" in capsys.readouterr().err

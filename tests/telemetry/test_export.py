@@ -6,6 +6,7 @@ from repro.telemetry.export import (
     load_csv,
     load_json,
     load_prometheus,
+    save_all,
     save_csv,
     save_json,
     save_prometheus,
@@ -167,3 +168,15 @@ class TestPrometheus:
         assert len(text.splitlines()) == 3
         parsed = load_prometheus(text)
         assert parsed["helps"]["repro_machine_hostile"] == help_text
+
+
+def test_save_all_writes_the_three_exports_into_a_new_directory(
+        registry, tmp_path):
+    out = tmp_path / "nested" / "telemetry"
+    save_all(registry, out)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "telemetry.csv", "telemetry.json", "telemetry.prom"]
+    assert (out / "telemetry.json").read_text() == to_json(registry) + "\n"
+    assert (out / "telemetry.csv").read_bytes() == \
+        to_csv(registry).encode()
+    assert (out / "telemetry.prom").read_text() == to_prometheus(registry)
