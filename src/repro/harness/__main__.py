@@ -18,14 +18,13 @@ store. ``--workers N`` fans the experiment grid out across N processes
 appends one JSON-lines record per simulation (wall time, cache hit or
 miss, worker PID, peak RSS, failures with tracebacks).
 
-``--telemetry`` instruments every simulation the invocation executes
-(see ``docs/telemetry.md``): the merged registry is exported as JSON,
-CSV and Prometheus text under ``--telemetry-dir``, a per-experiment
-wall-clock profile is printed (and appended to the run log as a
-``"profile"`` record when ``--runlog`` is given), and ``--interval``
-sets the sampling window in simulated cycles. Telemetry runs are forced
-serial and capture nothing from cache hits — combine with ``--no-cache``
-when you want a full capture.
+``--telemetry`` instruments every simulation the sweep executes (see
+``docs/telemetry.md``): each cell records into its own registry, in
+whichever process runs it, and the registries are merged in task order
+— the same export at any ``--workers`` count — and written as JSON, CSV
+and Prometheus text under ``--telemetry-dir``; ``--interval`` sets the
+sampling window in simulated cycles. Cache hits capture nothing —
+combine with ``--no-cache`` when you want a full capture.
 
 The ``telemetry`` subcommand runs a *single* benchmark with full
 telemetry plus an event log, exports all three formats, and can merge
@@ -79,7 +78,7 @@ from repro.harness.experiments import (
     RunOptions,
     check_experiments,
 )
-from repro.harness.parallel import warm_cache
+from repro.harness.parallel import experiment_tasks
 from repro.harness.runcache import RunCache
 from repro.harness.runlog import RunLog
 
@@ -113,8 +112,6 @@ def _telemetry_command(argv) -> int:
                         help="event-log ring capacity (default 65536)")
     parser.add_argument("--tail", type=int, default=0,
                         help="print the last N trace records to stdout")
-    parser.add_argument("--runlog", metavar="PATH", default=None,
-                        help="append the wall-clock profile to PATH")
     args = parser.parse_args(argv)
 
     from pathlib import Path
@@ -122,40 +119,31 @@ def _telemetry_command(argv) -> int:
     from repro.system.config import SystemConfig
     from repro.system.eventlog import EventLog
     from repro.system.simulator import Simulator
-    from repro.telemetry import Profiler, TelemetryRegistry
+    from repro.telemetry import TelemetryRegistry
     from repro.telemetry import export as tele_export
     from repro.telemetry import tracedump
     from repro.workloads.benchmarks import build_benchmark
 
-    profiler = Profiler()
     registry = TelemetryRegistry(interval=args.interval)
     event_log = EventLog(capacity=args.events)
     config = (
         SystemConfig.paper_baseline() if args.baseline
         else SystemConfig.paper_cgct()
     )
-    with profiler.phase("trace"):
-        workload = build_benchmark(
-            args.benchmark, num_processors=config.num_processors,
-            ops_per_processor=args.ops, seed=0,
-        )
+    workload = build_benchmark(
+        args.benchmark, num_processors=config.num_processors,
+        ops_per_processor=args.ops, seed=0,
+    )
     simulator = Simulator(config, seed=args.seed, telemetry=registry)
     simulator.machine.attach_event_log(event_log)
-    with profiler.phase("simulate"):
-        result = simulator.run(workload, warmup_fraction=args.warmup)
-    profiler.count_events(
-        result.l1_hits + result.l2_hits + result.stats.total_external,
-        phase="simulate",
-    )
+    result = simulator.run(workload, warmup_fraction=args.warmup)
 
     out = Path(args.out)
-    with profiler.phase("export"):
-        tele_export.save_all(registry, out)
-        dumped = None
-        if args.trace_dump:
-            dumped = tracedump.save_trace_dump(
-                registry, event_log, args.trace_dump
-            )
+    tele_export.save_all(registry, out)
+    dumped = None
+    if args.trace_dump:
+        dumped = tracedump.save_trace_dump(registry, event_log,
+                                           args.trace_dump)
 
     mode = "baseline" if args.baseline else "cgct"
     print(f"[{args.benchmark}/{mode}: {result.cycles} cycles, "
@@ -170,11 +158,6 @@ def _telemetry_command(argv) -> int:
         print(f"[{dumped} trace records written to {args.trace_dump}]")
     if args.tail:
         print(tracedump.render(registry, event_log, limit=args.tail))
-    print(profiler.render())
-    if args.runlog:
-        with RunLog(args.runlog) as runlog:
-            profiler.emit(runlog, command="telemetry",
-                          benchmark=args.benchmark, mode=mode)
     return 0
 
 
@@ -451,9 +434,8 @@ def main(argv=None) -> int:
                              "cache (requires the cache; bit-identical)")
     parser.add_argument("--telemetry", action="store_true",
                         help="instrument every executed simulation and "
-                             "export the merged metrics (forces serial; "
-                             "cache hits capture nothing — consider "
-                             "--no-cache)")
+                             "export the merged metrics (cache hits "
+                             "capture nothing — consider --no-cache)")
     parser.add_argument("--interval", type=int, default=100_000,
                         help="telemetry sampling window in simulated cycles "
                              "(default 100000)")
@@ -485,22 +467,13 @@ def main(argv=None) -> int:
     wanted = list(EXPERIMENTS) if "all" in args.experiments else args.experiments
     check_experiments(wanted)
     disk = None if args.no_cache else DiskCache(args.cache_dir)
-    cache = RunCache(disk=disk, check_invariants=args.check_invariants)
+    cache = RunCache(disk=disk, check_invariants=args.check_invariants,
+                     telemetry_interval=(args.interval if args.telemetry
+                                         else None))
     if args.workload_cache:
         from repro.workloads.store import WorkloadStore, set_workload_store
 
         set_workload_store(WorkloadStore(args.workload_cache))
-    profiler = None
-    if args.telemetry:
-        from repro.telemetry import Profiler, TelemetryRegistry
-
-        cache.telemetry_factory = (
-            lambda: TelemetryRegistry(interval=args.interval)
-        )
-        profiler = Profiler()
-        if args.workers > 1:
-            print("[--telemetry runs serially: worker processes cannot "
-                  "hand registries back]")
     runlog = RunLog(args.runlog) if args.runlog else None
     checkpoint = None
     if args.checkpoint:
@@ -508,35 +481,21 @@ def main(argv=None) -> int:
 
         checkpoint = SweepCheckpoint(args.checkpoint)
     try:
-        if not args.telemetry:
-            # Execute the whole grid up-front (in parallel when asked);
-            # each experiment below then renders from the warm cache
-            # (with --telemetry, it simulates its cells itself, where
-            # their registries can be kept).
-            warm_cache(wanted, options, cache, workers=args.workers,
-                       runlog=runlog, task_timeout=args.task_timeout,
-                       checkpoint=checkpoint)
+        # Execute the whole grid up-front (in parallel when asked); each
+        # experiment below then renders from the warm cache.
+        registries = cache.warm(
+            experiment_tasks(wanted, options), workers=args.workers,
+            runlog=runlog, task_timeout=args.task_timeout,
+            checkpoint=checkpoint)
         results = []
         for experiment_id in wanted:
             started = time.time()
-            captured_before = len(cache.telemetry_registries)
-            if profiler is not None:
-                with profiler.phase(experiment_id):
-                    result = EXPERIMENTS[experiment_id](options, cache)
-                events = sum(
-                    registry.get("stats.external_requests").total
-                    for registry in
-                    cache.telemetry_registries[captured_before:]
-                    if registry.get("stats.external_requests") is not None
-                )
-                profiler.count_events(int(events), phase=experiment_id)
-            else:
-                result = EXPERIMENTS[experiment_id](options, cache)
+            result = EXPERIMENTS[experiment_id](options, cache)
             results.append(result)
             print(result.render())
             print(f"[{experiment_id} finished in {time.time() - started:.1f}s]\n")
-        if profiler is not None:
-            _export_telemetry(cache, args, profiler, runlog)
+        if args.telemetry:
+            _export_telemetry(registries, args)
     finally:
         if runlog is not None:
             runlog.close()
@@ -553,23 +512,20 @@ def main(argv=None) -> int:
     return 0
 
 
-def _export_telemetry(cache, args, profiler, runlog) -> None:
-    """Merge per-run registries; write JSON/CSV/Prometheus + profile."""
+def _export_telemetry(registries, args) -> None:
+    """Merge the cells' registries; write JSON/CSV/Prometheus."""
     from pathlib import Path
 
     from repro.telemetry import TelemetryRegistry
     from repro.telemetry import export as tele_export
 
     merged = TelemetryRegistry(interval=args.interval)
-    for registry in cache.telemetry_registries:
+    for registry in registries:
         merged.merge_from(registry)
     out = Path(args.telemetry_dir)
     tele_export.save_all(merged, out)
-    print(f"[telemetry from {len(cache.telemetry_registries)} simulated "
+    print(f"[telemetry from {len(registries)} simulated "
           f"runs written to {out}/telemetry.{{json,csv,prom}}]")
-    print(profiler.render())
-    profiler.emit(runlog, command="experiments",
-                  simulated_runs=len(cache.telemetry_registries))
 
 
 if __name__ == "__main__":

@@ -484,8 +484,8 @@ def run_experiment(
     and the experiment then renders from the warmed cache; results are
     bit-identical either way. ``runlog`` (a
     :class:`~repro.harness.runlog.RunLog`) records per-cell
-    observability. A cache with a ``telemetry_factory`` skips the
-    warm-up, so every simulation runs where its registry can be kept.
+    observability. Telemetry registries are not kept here; to export
+    them, call :meth:`RunCache.warm` on the grid, which returns them.
     """
     check_experiments([experiment_id])
     # NB: explicit None checks — an empty RunCache is falsy (len == 0), so
@@ -494,11 +494,10 @@ def run_experiment(
         options = RunOptions()
     if cache is None:
         cache = RunCache()
-    if cache.telemetry_factory is None:
-        from repro.harness.parallel import warm_cache
+    from repro.harness.parallel import warm_cache
 
-        warm_cache([experiment_id], options, cache, workers=workers,
-                   runlog=runlog)
+    warm_cache([experiment_id], options, cache, workers=workers,
+               runlog=runlog)
     return EXPERIMENTS[experiment_id](options, cache)
 
 

@@ -9,13 +9,16 @@ The paper's evaluation is a grid of (benchmark × region size × RCA size
   the one cell identity: :class:`~repro.harness.runcache.RunCache`
   memoises by them and the on-disk result cache addresses them.
 * :func:`load_or_simulate` — the one cell executor: the result store's
-  entry, or a fresh simulation that is then stored. Pool workers (via
-  :func:`execute_envelope`) and ``RunCache`` misses both use it.
+  entry, or a fresh simulation (with its telemetry registry when asked)
+  that is then stored. Pool workers (via :func:`execute_envelope`) and
+  ``RunCache`` misses both use it.
 * :class:`ParallelRunner` — executes a task list through a
   :class:`~repro.harness.supervisor.SupervisedPool` (in this process
   with ``workers <= 1``, the determinism oracle), serving the cells
   already in an optional :class:`DiskCache` in this process, and
-  appending per-cell records to an optional :class:`RunLog`.
+  appending per-cell records to an optional :class:`RunLog`. The
+  telemetry registries of the cells it simulated come back on their
+  outcomes and are kept in task order (:attr:`ParallelRunner.registries`).
 * :func:`experiment_tasks` / :func:`warm_cache` — enumerate every
   simulation the registered paper experiments will request and run them
   up-front, preloading a :class:`RunCache` so the experiment functions
@@ -252,12 +255,14 @@ def replicated_tasks(
 class _Envelope:
     """A task plus everything a worker needs to execute it.
 
-    ``check_invariants`` ("" | "sampled" | "deep") rides on the envelope
-    rather than the task: the sanitizer never changes results, so
-    sanitized and unsanitized runs share cache keys — and, like
-    telemetry, cache hits skip the audit. ``workload_cache_dir``
-    likewise rides along so spawned (non-forked) workers install the
-    same materialized workload store the coordinator uses.
+    ``check_invariants`` ("" | "sampled" | "deep") and
+    ``telemetry_interval`` (the sampling window of the cell's telemetry
+    registry, or None for none) ride on the envelope rather than the
+    task: neither changes results, so audited or instrumented runs
+    share cache keys with plain ones — and cache hits skip both.
+    ``workload_cache_dir`` likewise rides along so spawned (non-forked)
+    workers install the same materialized workload store the
+    coordinator uses.
     """
 
     index: int
@@ -266,11 +271,16 @@ class _Envelope:
     code_version: Optional[str]
     check_invariants: str = ""
     workload_cache_dir: Optional[str] = None
+    telemetry_interval: Optional[int] = None
 
 
 @dataclass
 class TaskOutcome:
-    """What one completed cell reports back to the coordinator."""
+    """What one completed cell reports back to the coordinator.
+
+    ``telemetry`` is the finished registry of a cell that simulated with
+    a telemetry interval, or None.
+    """
 
     index: int
     result: RunResult
@@ -278,6 +288,7 @@ class TaskOutcome:
     wall_seconds: float
     peak_rss_kb: int
     worker_pid: int
+    telemetry: Optional["TelemetryRegistry"] = None
 
 
 def load_or_simulate(
@@ -285,15 +296,18 @@ def load_or_simulate(
     disk: Optional[DiskCache] = None,
     version: Optional[str] = None,
     check_invariants: str = "",
-    telemetry=None,
-) -> Tuple[RunResult, str]:
-    """One cell's result and its cache status (``hit|miss|off``).
+    telemetry_interval: Optional[int] = None,
+) -> Tuple[RunResult, str, Optional["TelemetryRegistry"]]:
+    """One cell's result, its cache status (``hit|miss|off``) and its
+    telemetry registry.
 
     Consults *disk* first; on a miss, simulates — audited by the
-    coherence sanitizer in mode *check_invariants* and recorded into
-    *telemetry* when given — and stores the result. The store is
-    atomic, so a process dying mid-task never leaves a partial cache
-    entry.
+    coherence sanitizer in mode *check_invariants*, and recorded into a
+    new :class:`~repro.telemetry.registry.TelemetryRegistry` sampling
+    every *telemetry_interval* cycles when that is given — and stores
+    the result. A hit, or a run without an interval, has no registry.
+    The store is atomic, so a process dying mid-task never leaves a
+    partial cache entry.
     """
     status = "off"
     key = None
@@ -301,17 +315,22 @@ def load_or_simulate(
         key = task.cache_key(version)
         result = disk.load(key)
         if result is not None:
-            return result, "hit"
+            return result, "hit", None
         status = "miss"
     sanitizer = None
     if check_invariants:
         from repro.validate.sanitizer import CoherenceSanitizer
 
         sanitizer = CoherenceSanitizer(mode=check_invariants)
+    telemetry = None
+    if telemetry_interval is not None:
+        from repro.telemetry.registry import TelemetryRegistry
+
+        telemetry = TelemetryRegistry(interval=telemetry_interval)
     result = task.execute(sanitizer=sanitizer, telemetry=telemetry)
     if disk is not None:
         disk.store(key, result, metadata=task.describe())
-    return result, status
+    return result, status, telemetry
 
 
 def execute_envelope(envelope: _Envelope) -> TaskOutcome:
@@ -325,9 +344,9 @@ def execute_envelope(envelope: _Envelope) -> TaskOutcome:
     disk = None
     if envelope.cache_dir is not None:
         disk = DiskCache(envelope.cache_dir)
-    result, status = load_or_simulate(
+    result, status, telemetry = load_or_simulate(
         envelope.task, disk, envelope.code_version,
-        envelope.check_invariants,
+        envelope.check_invariants, envelope.telemetry_interval,
     )
     return TaskOutcome(
         index=envelope.index,
@@ -336,6 +355,7 @@ def execute_envelope(envelope: _Envelope) -> TaskOutcome:
         wall_seconds=time.perf_counter() - started,
         peak_rss_kb=_peak_rss_kb(),
         worker_pid=os.getpid(),
+        telemetry=telemetry,
     )
 
 
@@ -384,6 +404,11 @@ class ParallelRunner:
     check_invariants:
         "" (off), "sampled" or "deep": run the coherence sanitizer
         inside every simulation this sweep actually executes.
+    telemetry_interval:
+        When set, every simulation this sweep executes records into its
+        own telemetry registry sampling at this many cycles; after
+        :meth:`run`, :attr:`registries` holds them in task order, so a
+        merge of them is the same at any worker count. Hits have none.
     """
 
     def __init__(
@@ -399,6 +424,7 @@ class ParallelRunner:
         circuit_threshold: int = 4,
         check_invariants: str = "",
         workload_cache: Optional[WorkloadStore] = None,
+        telemetry_interval: Optional[int] = None,
     ) -> None:
         self.workers = max(0, int(workers))
         self.cache = cache
@@ -410,6 +436,7 @@ class ParallelRunner:
         self.checkpoint = checkpoint
         self.circuit_threshold = max(1, int(circuit_threshold))
         self.check_invariants = check_invariants
+        self.telemetry_interval = telemetry_interval
         #: Materialized workload store shared with the workers; defaults
         #: to the process-wide active store (env-activated or wired by
         #: the CLI), so sweeps reuse generated traces without plumbing.
@@ -417,6 +444,8 @@ class ParallelRunner:
             else active_store()
         self.failures: List[Dict] = []
         self.quarantined: List[Dict] = []
+        #: The simulated cells' telemetry registries, in task order.
+        self.registries: List["TelemetryRegistry"] = []
         self._attempts: Dict[int, int] = {}
         #: Indices of this sweep's checkpoint-completed cells on disk.
         self._resumed: Set[int] = set()
@@ -443,7 +472,7 @@ class ParallelRunner:
                 set_workload_store(self.workload_cache)
         envelopes = [
             _Envelope(i, task, cache_dir, version, self.check_invariants,
-                      workload_dir)
+                      workload_dir, self.telemetry_interval)
             for i, task in enumerate(tasks)
         ]
         self._attempts = {envelope.index: 1 for envelope in envelopes}
@@ -480,9 +509,12 @@ class ParallelRunner:
                       timeouts=pool.timeouts,
                       consecutive_faults=pool.breaker.consecutive_faults)
         outcomes += simulated
+        outcomes.sort(key=lambda outcome: outcome.index)
         results: List[Optional[RunResult]] = [None] * len(envelopes)
         for outcome in outcomes:
             results[outcome.index] = outcome.result
+        self.registries = [o.telemetry for o in outcomes
+                           if o.telemetry is not None]
         self._log(
             "sweep-end",
             wall_s=round(time.perf_counter() - started, 4),

@@ -13,12 +13,13 @@ result from its :class:`~repro.harness.cache.DiskCache` (keyed by the
 full content address, including the code version), or simulates and
 stores it — so repeated invocations only execute changed cells.
 :meth:`RunCache.warm` runs a whole task list up-front through the
-:class:`~repro.harness.parallel.ParallelRunner` and keeps the results.
+:class:`~repro.harness.parallel.ParallelRunner`, keeps the results and
+hands back the telemetry registries of the cells it simulated.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.harness.cache import DiskCache, code_version
 from repro.harness.parallel import (
@@ -36,13 +37,13 @@ from repro.workloads.trace import MultiTrace
 class RunCache:
     """Caches completed runs, optionally backed by disk.
 
-    ``telemetry_factory`` (a zero-argument callable returning a
-    :class:`~repro.telemetry.registry.TelemetryRegistry`) instruments
-    every simulation this cache actually *executes*; the populated
-    registries accumulate in :attr:`telemetry_registries` for the caller
-    to merge and export. Cache hits — in-memory or disk — skip the
-    simulator and therefore capture no telemetry, so telemetry-gathering
-    invocations should bypass the disk store (``--no-cache``).
+    ``telemetry_interval`` (simulated cycles) instruments every
+    simulation :meth:`warm` executes with its own
+    :class:`~repro.telemetry.registry.TelemetryRegistry`, which
+    :meth:`warm` returns for the caller to merge and export. Cache hits
+    — in-memory or disk — skip the simulator and therefore capture no
+    telemetry, so telemetry-gathering invocations should bypass the disk
+    store (``--no-cache``); :meth:`run` never records telemetry.
 
     ``check_invariants`` ("" | "sampled" | "deep") audits every
     simulation this cache executes — itself or through :meth:`warm` —
@@ -55,14 +56,13 @@ class RunCache:
     def __init__(
         self,
         disk: Optional[DiskCache] = None,
-        telemetry_factory=None,
         check_invariants: str = "",
+        telemetry_interval: Optional[int] = None,
     ) -> None:
         self._runs: Dict[ExperimentTask, RunResult] = {}
         self.disk = disk
-        self.telemetry_factory = telemetry_factory
         self.check_invariants = check_invariants
-        self.telemetry_registries: list = []
+        self.telemetry_interval = telemetry_interval
 
     def trace(
         self, benchmark: str, ops_per_processor: int, seed: int = 0,
@@ -94,31 +94,26 @@ class RunCache:
         )
         result = self._runs.get(task)
         if result is None:
-            telemetry = None
-            if self.telemetry_factory is not None:
-                telemetry = self.telemetry_factory()
-            result, status = load_or_simulate(
-                task, self.disk, check_invariants=self.check_invariants,
-                telemetry=telemetry,
-            )
-            if telemetry is not None and status != "hit":
-                self.telemetry_registries.append(telemetry)
+            result, _, _ = load_or_simulate(
+                task, self.disk, check_invariants=self.check_invariants)
             self._runs[task] = result
         return result
 
     def warm(self, tasks: Iterable[ExperimentTask],
-             **runner_options) -> None:
+             **runner_options) -> List["TelemetryRegistry"]:
         """Run the *tasks* this cache lacks up-front and keep the results.
 
         They go through a :class:`~repro.harness.parallel.ParallelRunner`
         (in this process at ``workers <= 1``) over this cache's disk
-        store, audited in its ``check_invariants`` mode; the other
-        *runner_options* (``workers``, ``runlog``, ``checkpoint``, ...)
-        go to the runner unchanged.
+        store, audited in its ``check_invariants`` mode and instrumented
+        at its ``telemetry_interval``; the other *runner_options*
+        (``workers``, ``runlog``, ``checkpoint``, ...) go to the runner
+        unchanged. Returns the telemetry registries of the cells that
+        simulated, in task order (none without an interval).
         """
         tasks = [t for t in dict.fromkeys(tasks) if t not in self._runs]
         if not tasks:
-            return
+            return []
         disk = self.disk
         if disk is None or not disk.enabled or not all(
                 disk.contains(t.cache_key(code_version())) for t in tasks):
@@ -128,10 +123,12 @@ class RunCache:
             preload_numpy()
         runner = ParallelRunner(cache=self.disk,
                                 check_invariants=self.check_invariants,
+                                telemetry_interval=self.telemetry_interval,
                                 **runner_options)
         for task, result in zip(tasks, runner.run(tasks)):
             if result is not None:
                 self._runs[task] = result
+        return runner.registries
 
     def clear(self) -> None:
         """Drop every in-memory entry (the disk store is untouched)."""

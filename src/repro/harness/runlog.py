@@ -48,12 +48,6 @@ Record shapes (beyond the common stamps):
 ``{"event": "sweep-end", "wall_s": f, "completed": n, "simulated": n,
 "cache_hits": n, "failures": n, "quarantined": n}``
     Written once per runner invocation, after the last task.
-``{"event": "profile", "elapsed_s": f, "phases": {name: {"seconds": f,
-"entries": n, "events": n, "events_per_sec": f}}, ...}``
-    Wall-clock profile emitted by
-    :meth:`repro.telemetry.profile.Profiler.emit` at the end of a
-    telemetry-instrumented invocation; extra keyword fields (command,
-    benchmark, ...) ride along at the top level.
 """
 
 from __future__ import annotations

@@ -122,11 +122,9 @@ class ConfigSweep:
         through :meth:`RunCache.warm` (bit-identical records, see
         :mod:`repro.harness.parallel`); ``runlog`` appends per-cell
         observability records either way. A disk-backed *cache* makes
-        repeated sweeps only execute changed cells. A cache carrying a
-        ``telemetry_factory`` instruments every simulated cell; such
-        sweeps skip the warm-up and simulate cell by cell as the
-        records are built (worker processes cannot hand their
-        registries back).
+        repeated sweeps only execute changed cells. The telemetry
+        registries of a *cache* with a ``telemetry_interval`` are not
+        kept: :meth:`RunCache.warm` returns them to its caller.
 
         The fault-tolerance knobs mirror
         :class:`~repro.harness.parallel.ParallelRunner`:
@@ -150,16 +148,14 @@ class ConfigSweep:
         workloads = list(workloads)
         if check_invariants and not cache.check_invariants:
             cache.check_invariants = check_invariants
-        if cache.telemetry_factory is None:
-            configs = [self.baseline] + [self.config_for(p)
-                                         for p in self.grid()]
-            cache.warm(
-                (ExperimentTask(name, config, ops_per_processor, seed=seed,
-                                warmup_fraction=warmup_fraction)
-                 for name in workloads for config in configs),
-                workers=workers, runlog=runlog, task_timeout=task_timeout,
-                checkpoint=checkpoint, workload_cache=workload_cache,
-            )
+        configs = [self.baseline] + [self.config_for(p) for p in self.grid()]
+        cache.warm(
+            (ExperimentTask(name, config, ops_per_processor, seed=seed,
+                            warmup_fraction=warmup_fraction)
+             for name in workloads for config in configs),
+            workers=workers, runlog=runlog, task_timeout=task_timeout,
+            checkpoint=checkpoint, workload_cache=workload_cache,
+        )
         records: List[Dict] = []
         for name in workloads:
             base_run = cache.run(

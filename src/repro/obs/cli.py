@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 
 
 def _record(args) -> int:
@@ -60,21 +61,19 @@ def _record(args) -> int:
 
 def _summary(args) -> int:
     from repro.obs.analyze import render_summary, summarize
-    from repro.obs.export import read_spans
 
-    print(render_summary(summarize(read_spans(args.file))))
+    print(render_summary(summarize(args.spans)))
     return 0
 
 
 def _critical_path(args) -> int:
     from repro.obs.analyze import critical_path, render_critical_path
-    from repro.obs.export import read_spans
 
     telemetry = None
     if args.telemetry:
         with open(args.telemetry, "r", encoding="utf-8") as fh:
             telemetry = json.load(fh)
-    report = critical_path(read_spans(args.file), telemetry=telemetry)
+    report = critical_path(args.spans, telemetry=telemetry)
     print(render_critical_path(report))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -85,13 +84,9 @@ def _critical_path(args) -> int:
 
 
 def _export(args) -> int:
-    from repro.obs.export import (
-        read_spans,
-        validate_chrome_trace,
-        write_chrome_trace,
-    )
+    from repro.obs.export import validate_chrome_trace, write_chrome_trace
 
-    trace = write_chrome_trace(read_spans(args.file), args.out)
+    trace = write_chrome_trace(args.spans, args.out)
     events = validate_chrome_trace(trace)
     print(f"[{events} events written to {args.out}; load it at "
           f"https://ui.perfetto.dev or chrome://tracing]")
@@ -155,4 +150,12 @@ def trace_command(argv) -> int:
     export.set_defaults(func=_export)
 
     args = parser.parse_args(argv)
+    if args.command != "record":
+        from repro.obs.export import read_spans
+
+        args.spans = read_spans(args.file)
+        if not args.spans:
+            print(f"error: {args.file}: no spans (neither span records "
+                  f"nor a run log with a sweep)", file=sys.stderr)
+            return 1
     return args.func(args)

@@ -1,9 +1,9 @@
-"""Simulator-wide metrics, tracing, and profiling.
+"""Simulator-wide metrics and tracing.
 
 See :mod:`repro.telemetry.registry` for the primitives and the
 registry, :mod:`repro.telemetry.export` for the JSON/CSV/Prometheus
-exporters, :mod:`repro.telemetry.profile` for wall-clock profiling, and
-:mod:`repro.telemetry.tracedump` for the merged event/interval trace.
+exporters, and :mod:`repro.telemetry.tracedump` for the merged
+event/interval trace.
 ``docs/telemetry.md`` has the metric catalogue.
 """
 
@@ -17,7 +17,6 @@ from repro.telemetry.registry import (
     TelemetryRegistry,
     TransitionMatrix,
 )
-from repro.telemetry.profile import Profiler
 
 __all__ = [
     "Counter",
@@ -26,7 +25,6 @@ __all__ = [
     "IntervalSeries",
     "TransitionMatrix",
     "TelemetryRegistry",
-    "Profiler",
     "DEFAULT_BUCKET_BOUNDS",
     "DEFAULT_INTERVAL",
 ]

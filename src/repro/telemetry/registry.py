@@ -176,13 +176,33 @@ class Histogram:
         self.total = 0.0
 
     def merge_from(self, other: "Histogram") -> None:
-        """Fold another histogram (same bounds) into this one."""
+        """Fold another histogram into this one.
+
+        The bounds must be equal, or one a prefix of the other with the
+        shorter layout's overflow bucket empty: then every observation
+        of the shorter one falls in the same bucket of the longer
+        layout, and both merge exactly into it (the RCA eviction
+        histogram has one bound per line of a region, so region sizes
+        differ this way). Any other mismatch raises.
+        """
+        counts, other_counts = self.counts, other.counts
         if other.bounds != self.bounds:
-            raise ValueError(
-                f"cannot merge histograms with different bounds: "
-                f"{self.name} vs {other.name}"
-            )
-        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
+            mine_shorter = len(self.bounds) < len(other.bounds)
+            shorter, longer = (self.bounds, other.bounds) if mine_shorter \
+                else (other.bounds, self.bounds)
+            overflow = (counts if mine_shorter else other_counts)[-1]
+            if longer[:len(shorter)] != shorter or overflow:
+                raise ValueError(
+                    f"cannot merge histograms with different bounds: "
+                    f"{self.name} vs {other.name}"
+                )
+            padding = [0] * (len(longer) - len(shorter) + 1)
+            if mine_shorter:
+                counts = counts[:-1] + padding
+                self.bounds = longer
+            else:
+                other_counts = other_counts[:-1] + padding
+        self.counts = [a + b for a, b in zip(counts, other_counts)]
         self.stat = self.stat.merge(other.stat)
         self.total += other.total
 
@@ -531,6 +551,11 @@ class TelemetryRegistry:
         for fn in self._finalizers:
             fn(end_time)
         self.finalized_at = end_time
+        # Probes and finalizers close over the instrumented machine:
+        # dropped, a finished registry neither keeps its machine alive
+        # nor fails to pickle back from a worker process.
+        self._probes = []
+        self._finalizers = []
 
     def restart_sampling(self, now: int) -> None:
         """Align the next sample to the first boundary after *now*."""

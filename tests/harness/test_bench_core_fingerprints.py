@@ -10,10 +10,12 @@ repro.harness perf --check BENCH_core.json`` checks every row and cell.
 """
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+from repro.harness.parallel import ExperimentTask, ParallelRunner
 from repro.harness.perfbench import (
     CORPUS,
     CORPUS_CONFIGS,
@@ -26,6 +28,7 @@ from repro.harness.perfbench import (
     run_record,
     scaling_row,
 )
+from repro.harness.runlog import RunLog, read_runlog
 from repro.system.simulator import Simulator
 from repro.telemetry.registry import TelemetryRegistry
 from repro.workloads.benchmarks import BENCHMARKS
@@ -91,3 +94,28 @@ def test_corpus_cell_plain_run_matches_committed(committed, cell):
     simulator, result = run_cell(cell)
     assert digest(run_record(simulator, result)) == (
         committed["corpus"]["cells"][cell_name(*cell)]["digest"])
+
+
+def test_corpus_cells_ship_their_registries_from_forked_workers(
+        committed, tmp_path):
+    # A sweep's cells record telemetry in the worker that simulates
+    # them; the finished registry pickles back on the cell's outcome
+    # and must be the registry the corpus committed.
+    cells = STRATIFIED[:2]
+    tasks = [
+        ExperimentTask(benchmark, corpus_config(name),
+                       CORPUS["ops_per_processor"], seed=seed,
+                       warmup_fraction=CORPUS["warmup_fraction"])
+        for benchmark, name, seed in cells
+    ]
+    with RunLog(tmp_path / "run.jsonl") as runlog:
+        runner = ParallelRunner(
+            workers=2, runlog=runlog,
+            telemetry_interval=CORPUS["telemetry_interval"])
+        runner.run(tasks)
+    workers = {record["worker"] for record in read_runlog(runlog.path)
+               if record["event"] == "run"}
+    assert workers and os.getpid() not in workers
+    assert [digest(registry.to_dict()) for registry in runner.registries] \
+        == [committed["corpus"]["cells"][cell_name(*cell)]
+            ["telemetry_digest"] for cell in cells]

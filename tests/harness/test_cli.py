@@ -113,3 +113,40 @@ def test_warm_sweep_fingerprints_each_config_once(tmp_path, capsys,
     strip = (lambda out: [line for line in out.splitlines()
                           if "finished in" not in line])
     assert strip(warm) == strip(cold)
+
+
+def test_telemetry_sweep_is_the_same_at_any_worker_count(tmp_path, capsys):
+    # --telemetry runs on the ordinary sweep path: the cells' registries
+    # come back from whichever process simulated them and merge in task
+    # order, so the export is byte-identical serial and pooled, and the
+    # run log and checkpoint are the same as any sweep's.
+    import json
+
+    from repro.harness.experiments import RunOptions
+    from repro.harness.parallel import experiment_tasks
+    from repro.harness.runlog import read_runlog
+
+    experiments = ["fig2", "fig7"]
+    tasks = experiment_tasks(experiments,
+                             RunOptions(ops_per_processor=300).quick())
+    exports = []
+    for workers in ("0", "2"):
+        out = tmp_path / f"workers-{workers}"
+        assert main([*experiments, "--quick", "--ops", "300",
+                     "--telemetry", "--no-cache", "--workers", workers,
+                     "--telemetry-dir", str(out / "telemetry"),
+                     "--runlog", str(out / "run.jsonl"),
+                     "--checkpoint", str(out / "sweep.ckpt")]) == 0
+        assert f"telemetry from {len(tasks)} simulated runs" in \
+            capsys.readouterr().out
+        exports.append((out / "telemetry" / "telemetry.json").read_bytes())
+        events = [record["event"] for record in read_runlog(out / "run.jsonl")]
+        assert events.count("sweep-start") == events.count("sweep-end") == 1
+        assert events.count("run") == len(tasks)
+        assert (out / "sweep.ckpt").stat().st_size > 0
+    assert exports[0] == exports[1]
+    counters = json.loads(exports[0])["counters"]
+    paths = sum(data["value"] for name, data in counters.items()
+                if name.startswith("machine.paths."))
+    assert paths == sum(task.execute().stats.total_external
+                        for task in tasks) > 0

@@ -89,3 +89,28 @@ def test_sweep_mode_records_wall_spans(tmp_path, capsys):
     validate_chrome_trace(json.loads(out_path.read_text()))
     assert main(["trace", "summary", str(runlog)]) == 0
     assert "parallelism" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [
+    ["summary"], ["critical-path"], ["export", "-o", "out.json"],
+], ids=["summary", "critical-path", "export"])
+@pytest.mark.parametrize("contents", ["runlog", "empty"])
+def test_file_without_spans_is_a_one_line_error(tmp_path, capsys,
+                                                monkeypatch, command,
+                                                contents):
+    # A run log with no sweep (here one `traces run` record) and an
+    # empty file both hold no spans: the command says so on one line of
+    # stderr and exits 1, with no traceback.
+    from repro.harness.runlog import RunLog
+
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "log.jsonl"
+    path.touch()
+    if contents == "runlog":
+        with RunLog(path) as runlog:
+            runlog.record("traces-run", src="trace.bin", cycles=100)
+    assert main(["trace", command[0], str(path), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()

@@ -9,7 +9,8 @@ holds several machines at once. Each run is checked with streaks
 on both phase-1 snoop paths: the holder bitmask (``"bitmask"``, every
 filter-free machine) and the per-peer loop (``"walk"``, which only
 Jetty/RegionScout-filtered machines run, so it adds a Jetty filter).
-Telemetry, a tracer and a sanitizer are not covered.
+A finished telemetry registry kept past its run must not hold the
+machine either; a tracer and a sanitizer are not covered.
 """
 
 import dataclasses
@@ -48,6 +49,27 @@ def test_dropped_simulator_frees_its_machine(config, snoop, stepping):
         machine = weakref.ref(simulator.machine)
         del simulator
         assert machine() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_finished_registry_does_not_hold_its_machine():
+    """A kept telemetry registry lets its run's machine go: its probes
+    and finalizers, which close over the machine, end with the run."""
+    from repro.telemetry.registry import TelemetryRegistry
+
+    workload = build_benchmark("tpc-b", 4, seed=0, ops_per_processor=400)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        registry = TelemetryRegistry(interval=5_000)
+        simulator = Simulator(SystemConfig.paper_cgct(), telemetry=registry)
+        simulator.run(workload, warmup_fraction=0.25)
+        machine = weakref.ref(simulator.machine)
+        del simulator
+        assert machine() is None
+        assert registry.get("stats.external_requests").total > 0
     finally:
         if enabled:
             gc.enable()

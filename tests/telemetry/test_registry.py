@@ -1,5 +1,7 @@
 """Telemetry primitives and the registry: recording, sampling, merging."""
 
+import pickle
+
 import pytest
 
 from repro.telemetry.registry import (
@@ -120,6 +122,44 @@ class TestHistogram:
         a, b = Histogram("a", bounds=[10]), Histogram("b", bounds=[20])
         with pytest.raises(ValueError):
             a.merge_from(b)
+
+    @staticmethod
+    def _eviction_histograms():
+        """Two RCA-eviction-shaped layouts: 4 and 8 lines per region."""
+        short = Histogram("short", bounds=range(5))
+        long = Histogram("long", bounds=range(9))
+        for value in (0, 1, 4, 4):
+            short.observe(value)
+        for value in (2, 7, 8):
+            long.observe(value)
+        return short, long
+
+    @pytest.mark.parametrize("short_first", [True, False])
+    def test_merge_prefix_bounds_into_the_longer_layout(self, short_first):
+        short, long = self._eviction_histograms()
+        into, other = (short, long) if short_first else (long, short)
+        into.merge_from(other)
+        assert into.bounds == tuple(range(9))
+        assert into.counts == [1, 1, 1, 0, 2, 0, 0, 1, 1, 0]
+        assert into.count == 7
+        assert into.total == pytest.approx(26.0)
+        assert (into.stat.minimum, into.stat.maximum) == (0, 8)
+
+    def test_merge_prefix_bounds_with_short_overflow_raises(self):
+        short, long = self._eviction_histograms()
+        short.observe(6)   # above the short layout's last bound
+        with pytest.raises(ValueError):
+            short.merge_from(long)
+        with pytest.raises(ValueError):
+            long.merge_from(short)
+
+    def test_merge_bounds_that_are_not_a_prefix_raises(self):
+        a = Histogram("a", bounds=[1, 2, 4])
+        b = Histogram("b", bounds=[1, 3, 4, 8])
+        with pytest.raises(ValueError):
+            a.merge_from(b)
+        with pytest.raises(ValueError):
+            b.merge_from(a)
 
     def test_to_dict_includes_percentiles_when_populated(self):
         h = Histogram("h", bounds=[10])
@@ -282,6 +322,23 @@ class TestProbesAndSampling:
         reg.add_finalizer(seen.append)
         reg.finalize(777)
         assert seen == [777]
+
+    def test_finalized_registry_drops_its_callbacks_and_pickles(self):
+        reg = TelemetryRegistry(interval=100)
+        source = {"v": 0}
+        reg.add_probe("p", lambda: source["v"])
+        reg.add_finalizer(lambda end: reg.gauge("g").set(end))
+        reg.counter("c").inc(3)
+        reg.histogram("h", bounds=[10]).observe(4)
+        reg.transition_matrix("t").record("I", "load", "CI")
+        source["v"] = 5
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(reg)   # the lambdas do not pickle
+        reg.finalize(250)
+        copy = pickle.loads(pickle.dumps(reg))
+        assert copy.to_dict() == reg.to_dict()
+        assert copy.get("p").total == 5.0
+        assert copy.get("g").value == 250
 
     def test_restart_sampling_aligns_past_now(self):
         reg = TelemetryRegistry(interval=100)
