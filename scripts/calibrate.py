@@ -43,11 +43,10 @@ def main():
     cache = RunCache(disk=disk)
     runlog = RunLog(args.runlog) if args.runlog else None
 
-    base_cfg = SystemConfig.paper_baseline()
-    cgct_cfg = SystemConfig.paper_cgct(512)
+    configs = (SystemConfig.paper_baseline(), SystemConfig.paper_cgct(512))
     tasks = [
         ExperimentTask(name, config, args.ops, warmup_fraction=WARMUP)
-        for name in names for config in (base_cfg, cgct_cfg)
+        for name in names for config in configs
     ]
     t0 = time.time()
     try:
@@ -58,9 +57,8 @@ def main():
     grid_s = time.time() - t0
 
     unnecs, rrs = [], []
-    for name in names:
-        base = cache.run(name, base_cfg, args.ops, warmup_fraction=WARMUP)
-        cgct = cache.run(name, cgct_cfg, args.ops, warmup_fraction=WARMUP)
+    for name, base_task, cgct_task in zip(names, tasks[::2], tasks[1::2]):
+        base, cgct = cache[base_task], cache[cgct_task]
         unnec = base.fraction_unnecessary()
         rr = cgct.runtime_reduction_over(base)
         unnecs.append(unnec)

@@ -1,7 +1,8 @@
 """Experiment harness: regenerate every table and figure of the paper.
 
-* :mod:`repro.harness.runcache` — memoised simulation runs shared
-  between experiments (Figures 7–10 reuse the same baselines).
+* :mod:`repro.harness.runcache` — the results of a sweep's cells,
+  shared between the experiments it renders (Figures 7–10 reuse the
+  same baselines).
 * :mod:`repro.harness.cache` — on-disk, content-addressed result store
   (configuration + workload + code version), so repeated invocations
   only execute changed cells.
@@ -13,10 +14,12 @@
   :class:`SweepCheckpoint` (see ``docs/robustness.md``).
 * :mod:`repro.harness.runlog` — JSON-lines per-run observability
   (wall time, cache hit/miss, worker, peak RSS, failures).
-* :mod:`repro.harness.render` — plain-text table/bar rendering.
-* :mod:`repro.harness.experiments` — one function per paper artifact,
-  registered by ID (``fig2`` … ``fig10``, ``table1`` … ``table4``,
-  ``sec32``).
+* :mod:`repro.harness.render` — :class:`ExperimentResult` and
+  plain-text table/bar rendering.
+* :mod:`repro.harness.experiments` — one ``cells`` grid plus one
+  ``render`` per paper artifact, registered by ID (``fig2`` …
+  ``fig10``, ``table1`` … ``table4``, ``sec32``, then the
+  beyond-the-paper ones of :mod:`repro.harness.extensions`).
 * ``python -m repro.harness <experiment-id>`` — command-line entry.
 """
 
@@ -32,8 +35,10 @@ _EXPORTS = {
     "cache_key": "cache",
     "code_version": "cache",
     "EXPERIMENTS": "experiments",
-    "ExperimentResult": "experiments",
+    "Experiment": "experiments",
+    "ExperimentResult": "render",
     "RunOptions": "experiments",
+    "experiment_tasks": "experiments",
     "run_experiment": "experiments",
     "result_to_dict": "export",
     "result_to_markdown": "export",
@@ -41,9 +46,7 @@ _EXPORTS = {
     "save_results_markdown": "export",
     "ExperimentTask": "parallel",
     "ParallelRunner": "parallel",
-    "experiment_tasks": "parallel",
     "replicated_tasks": "parallel",
-    "warm_cache": "parallel",
     "render_table": "render",
     "CircuitBreaker": "supervisor",
     "RetryPolicy": "supervisor",

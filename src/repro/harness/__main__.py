@@ -77,8 +77,8 @@ from repro.harness.experiments import (
     EXPERIMENTS,
     RunOptions,
     check_experiments,
+    experiment_tasks,
 )
-from repro.harness.parallel import experiment_tasks
 from repro.harness.runcache import RunCache
 from repro.harness.runlog import RunLog
 
@@ -481,8 +481,9 @@ def main(argv=None) -> int:
 
         checkpoint = SweepCheckpoint(args.checkpoint)
     try:
-        # Execute the whole grid up-front (in parallel when asked); each
-        # experiment below then renders from the warm cache.
+        # Execute the union of the experiments' grids up-front (in
+        # parallel when asked); each experiment below then renders from
+        # the warm cache.
         registries = cache.warm(
             experiment_tasks(wanted, options), workers=args.workers,
             runlog=runlog, task_timeout=args.task_timeout,
@@ -490,7 +491,7 @@ def main(argv=None) -> int:
         results = []
         for experiment_id in wanted:
             started = time.time()
-            result = EXPERIMENTS[experiment_id](options, cache)
+            result = EXPERIMENTS[experiment_id].render(options, cache)
             results.append(result)
             print(result.render())
             print(f"[{experiment_id} finished in {time.time() - started:.1f}s]\n")

@@ -1,8 +1,9 @@
 """On-disk, content-addressed result cache.
 
-:class:`RunCache` memoises simulations within one process; this module
-persists them between processes and invocations. An entry is keyed by a
-stable SHA-256 over everything that determines a run's outcome:
+:class:`RunCache` holds a sweep's results within one process; this
+module persists them between processes and invocations. An entry is
+keyed by a stable SHA-256 over everything that determines a run's
+outcome:
 
 * the full :class:`~repro.system.config.SystemConfig` (every field,
   recursively, via ``dataclasses.asdict``),

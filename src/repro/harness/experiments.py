@@ -1,10 +1,28 @@
-"""One experiment per paper artifact.
+"""One experiment per paper artifact: the grid it reads, and how it reads it.
 
-Every public experiment takes :class:`RunOptions` (trace length, seed
-count, warm-up) plus a shared :class:`RunCache` and returns an
-:class:`ExperimentResult` — headers, rows and notes that mirror the
-corresponding table or figure of the paper. ``run_experiment("fig8")``
-is the single entry point; the registry maps IDs to functions.
+Every registered experiment is an :class:`Experiment` pair:
+
+* ``cells(options)`` lists, in a fixed order, the simulation cells
+  (:class:`~repro.harness.parallel.ExperimentTask`) the experiment
+  reads at the sizes in :class:`RunOptions` (trace length, seed count,
+  warm-up, benchmarks, region sizes);
+* ``render(options, results)`` builds its :class:`ExperimentResult` —
+  headers, rows and notes that mirror the paper's table or figure —
+  from a task → ``RunResult`` mapping, and never simulates.
+
+A sweep runs :func:`experiment_tasks` — the de-duplicated union of the
+chosen experiments' cells — through :meth:`RunCache.warm
+<repro.harness.runcache.RunCache.warm>`, across worker processes when
+asked, then renders each experiment from that cache.
+``run_experiment("fig8")`` does both for one experiment. A render that
+looks up a cell its experiment did not declare raises :class:`KeyError`.
+The static artifacts declare no cells, and neither does ``energy``,
+which runs its own simulators (see
+:func:`repro.harness.extensions.energy`).
+
+:data:`EXPERIMENTS` is the one registry: the paper's artifacts from
+this module, then the beyond-the-paper ones from
+:mod:`repro.harness.extensions`, which does not import this module.
 
 Scale note: the paper simulated billions of instructions per benchmark;
 this harness replays synthetic traces of (by default) 60 K memory
@@ -17,21 +35,29 @@ measured values for each artifact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
+                    Sequence)
 
 from repro.analysis.metrics import runtime_reduction_interval
 from repro.analysis.overhead import table2_rows
 from repro.common.units import to_nanoseconds
-from repro.harness.render import render_bar, render_stacked_bar, render_table
+from repro.harness import extensions
+from repro.harness.parallel import ExperimentTask
+from repro.harness.render import (ExperimentResult, render_bar,
+                                  render_stacked_bar)
 from repro.harness.runcache import RunCache
 from repro.rca.states import RegionState
 from repro.system.config import SystemConfig
 from repro.system.machine import OracleCategory
+from repro.system.simulator import RunResult
 from repro.workloads.benchmarks import BENCHMARKS
 
 #: The paper's commercial subset (Section 5.2's "commercial workloads").
 COMMERCIAL = ("specweb99", "specjbb2000", "tpc-w", "tpc-b", "tpc-h")
+
+#: What an experiment's ``render`` reads its cells from.
+Results = Mapping[ExperimentTask, RunResult]
 
 
 @dataclass(frozen=True)
@@ -53,32 +79,34 @@ class RunOptions:
             benchmarks=tuple(self.benchmarks)[:3],
         )
 
+    def cell(self, benchmark: str, config: SystemConfig,
+             seed: int = 0) -> ExperimentTask:
+        """The cell running *benchmark* on *config* at these sizes.
 
-@dataclass
-class ExperimentResult:
-    """Rows + notes (and optionally an ASCII chart) for one artifact."""
+        ``seed`` perturbs the machine's timing; every seed replays the
+        same trace (trace seed 0), as the paper's perturbation
+        methodology does.
+        """
+        return ExperimentTask(benchmark, config, self.ops_per_processor,
+                              seed=seed, warmup_fraction=self.warmup_fraction)
 
-    experiment_id: str
-    title: str
-    headers: List[str]
-    rows: List[List]
-    notes: List[str] = field(default_factory=list)
-    chart: Optional[str] = None
 
-    def render(self) -> str:
-        """Plain-text rendering (title + aligned table + chart + notes)."""
-        parts = [f"== {self.experiment_id}: {self.title} ==",
-                 render_table(self.headers, self.rows)]
-        if self.chart:
-            parts.append(self.chart)
-        parts.extend(f"note: {note}" for note in self.notes)
-        return "\n".join(parts)
+class Experiment(NamedTuple):
+    """One registered artifact: its grid, and its rendering of it."""
+
+    cells: Callable[[RunOptions], List[ExperimentTask]]
+    render: Callable[[RunOptions, Results], ExperimentResult]
+
+
+def no_cells(options: RunOptions) -> List[ExperimentTask]:
+    """The grid of an experiment that reads no cached simulation."""
+    return []
 
 
 # ----------------------------------------------------------------------
 # Static artifacts (no simulation)
 # ----------------------------------------------------------------------
-def table1(options: RunOptions, cache: RunCache) -> ExperimentResult:
+def table1(options: RunOptions, results: Results) -> ExperimentResult:
     """Table 1: the region protocol's stable states."""
     rows = []
     description = {
@@ -110,7 +138,7 @@ def table1(options: RunOptions, cache: RunCache) -> ExperimentResult:
     )
 
 
-def table2(options: RunOptions, cache: RunCache) -> ExperimentResult:
+def table2(options: RunOptions, results: Results) -> ExperimentResult:
     """Table 2: RCA storage overhead for every evaluated design point."""
     rows = []
     for row in table2_rows():
@@ -131,7 +159,7 @@ def table2(options: RunOptions, cache: RunCache) -> ExperimentResult:
     )
 
 
-def table3(options: RunOptions, cache: RunCache) -> ExperimentResult:
+def table3(options: RunOptions, results: Results) -> ExperimentResult:
     """Table 3: simulation parameters, from the live configuration."""
     config = SystemConfig.paper_cgct(512)
     core = config.core
@@ -179,7 +207,7 @@ def table3(options: RunOptions, cache: RunCache) -> ExperimentResult:
     )
 
 
-def table4(options: RunOptions, cache: RunCache) -> ExperimentResult:
+def table4(options: RunOptions, results: Results) -> ExperimentResult:
     """Table 4: the benchmark suite."""
     rows = [
         [profile.category, name, profile.description]
@@ -192,7 +220,7 @@ def table4(options: RunOptions, cache: RunCache) -> ExperimentResult:
     )
 
 
-def fig6(options: RunOptions, cache: RunCache) -> ExperimentResult:
+def fig6(options: RunOptions, results: Results) -> ExperimentResult:
     """Figure 6: memory request latency scenarios."""
     model = SystemConfig.paper_baseline().latency
     rows = []
@@ -215,15 +243,20 @@ def fig6(options: RunOptions, cache: RunCache) -> ExperimentResult:
 # ----------------------------------------------------------------------
 # Simulation-backed figures
 # ----------------------------------------------------------------------
-def fig2(options: RunOptions, cache: RunCache) -> ExperimentResult:
+def fig2_cells(options: RunOptions) -> List[ExperimentTask]:
+    """Every benchmark on the baseline."""
+    baseline = SystemConfig.paper_baseline()
+    return [options.cell(name, baseline) for name in options.benchmarks]
+
+
+def fig2(options: RunOptions, results: Results) -> ExperimentResult:
     """Figure 2: unnecessary broadcasts in the conventional system."""
     baseline = SystemConfig.paper_baseline()
     rows = []
     fractions = []
     runs = []
     for name in options.benchmarks:
-        run = cache.run(name, baseline, options.ops_per_processor,
-                        warmup_fraction=options.warmup_fraction)
+        run = results[options.cell(name, baseline)]
         runs.append(run)
         total = run.fraction_unnecessary()
         fractions.append(total)
@@ -258,18 +291,27 @@ def fig2(options: RunOptions, cache: RunCache) -> ExperimentResult:
     )
 
 
-def fig7(options: RunOptions, cache: RunCache) -> ExperimentResult:
+def _baseline_and_regions(options: RunOptions) -> List[SystemConfig]:
+    """The baseline, then CGCT at each of *options*' region sizes."""
+    return [SystemConfig.paper_baseline()] + [
+        SystemConfig.paper_cgct(region) for region in options.region_sizes]
+
+
+def fig7_cells(options: RunOptions) -> List[ExperimentTask]:
+    """Per benchmark: the baseline, then CGCT at each region size."""
+    return [options.cell(name, config) for name in options.benchmarks
+            for config in _baseline_and_regions(options)]
+
+
+def fig7(options: RunOptions, results: Results) -> ExperimentResult:
     """Figure 7: broadcasts avoided vs the oracle opportunity."""
     baseline = SystemConfig.paper_baseline()
     rows = []
     for name in options.benchmarks:
-        base = cache.run(name, baseline, options.ops_per_processor,
-                         warmup_fraction=options.warmup_fraction)
+        base = results[options.cell(name, baseline)]
         row = [name, f"{base.fraction_unnecessary():.1%}"]
         for region in options.region_sizes:
-            cgct = cache.run(name, SystemConfig.paper_cgct(region),
-                             options.ops_per_processor,
-                             warmup_fraction=options.warmup_fraction)
+            cgct = results[options.cell(name, SystemConfig.paper_cgct(region))]
             row.append(f"{cgct.fraction_avoided():.1%}")
         rows.append(row)
     headers = ["Benchmark", "Opportunity (oracle)"]
@@ -281,7 +323,15 @@ def fig7(options: RunOptions, cache: RunCache) -> ExperimentResult:
     )
 
 
-def fig8(options: RunOptions, cache: RunCache) -> ExperimentResult:
+def fig8_cells(options: RunOptions) -> List[ExperimentTask]:
+    """Per benchmark: every seed of the baseline, then of CGCT at each
+    region size."""
+    return [options.cell(name, config, seed) for name in options.benchmarks
+            for config in _baseline_and_regions(options)
+            for seed in range(options.seeds)]
+
+
+def fig8(options: RunOptions, results: Results) -> ExperimentResult:
     """Figure 8: run-time reduction per region size (±95 % CI)."""
     rows = []
     per_region_means: Dict[int, List[float]] = {r: [] for r in options.region_sizes}
@@ -289,7 +339,7 @@ def fig8(options: RunOptions, cache: RunCache) -> ExperimentResult:
         row = [name]
         for region in options.region_sizes:
             interval = _reduction_interval(
-                cache, name, SystemConfig.paper_cgct(region), options)
+                results, name, SystemConfig.paper_cgct(region), options)
             per_region_means[region].append(interval.mean)
             row.append(f"{interval.mean:+.1%} ±{interval.half_width:.1%}")
         rows.append(row)
@@ -327,15 +377,26 @@ def fig8(options: RunOptions, cache: RunCache) -> ExperimentResult:
     )
 
 
-def fig9(options: RunOptions, cache: RunCache) -> ExperimentResult:
+def fig9_cells(options: RunOptions) -> List[ExperimentTask]:
+    """Per benchmark and seed: the baseline, the full RCA, the half."""
+    baseline = SystemConfig.paper_baseline()
+    return [
+        options.cell(name, config, seed) for name in options.benchmarks
+        for seed in range(options.seeds)
+        for config in (baseline, SystemConfig.paper_cgct(512, rca_sets=8192),
+                       SystemConfig.paper_cgct(512, rca_sets=4096))
+    ]
+
+
+def fig9(options: RunOptions, results: Results) -> ExperimentResult:
     """Figure 9: half-size RCA (8K entries) vs full (16K), 512B regions."""
     rows = []
     full_means, half_means = [], []
     for name in options.benchmarks:
         full = _reduction_interval(
-            cache, name, SystemConfig.paper_cgct(512, rca_sets=8192), options)
+            results, name, SystemConfig.paper_cgct(512, rca_sets=8192), options)
         half = _reduction_interval(
-            cache, name, SystemConfig.paper_cgct(512, rca_sets=4096), options)
+            results, name, SystemConfig.paper_cgct(512, rca_sets=4096), options)
         full_means.append(full.mean)
         half_means.append(half.mean)
         rows.append([
@@ -357,17 +418,22 @@ def fig9(options: RunOptions, cache: RunCache) -> ExperimentResult:
     )
 
 
-def fig10(options: RunOptions, cache: RunCache) -> ExperimentResult:
+def baseline_and_cgct512_cells(options: RunOptions) -> List[ExperimentTask]:
+    """Per benchmark: the baseline, then CGCT with 512 B regions."""
+    baseline = SystemConfig.paper_baseline()
+    return [options.cell(name, config) for name in options.benchmarks
+            for config in (baseline, SystemConfig.paper_cgct(512))]
+
+
+def fig10(options: RunOptions, results: Results) -> ExperimentResult:
     """Figure 10: average and peak broadcast traffic per 100K cycles."""
     baseline = SystemConfig.paper_baseline()
     cgct_cfg = SystemConfig.paper_cgct(512)
     rows = []
     base_avgs, cgct_avgs, base_peaks, cgct_peaks = [], [], [], []
     for name in options.benchmarks:
-        base = cache.run(name, baseline, options.ops_per_processor,
-                         warmup_fraction=options.warmup_fraction)
-        cgct = cache.run(name, cgct_cfg, options.ops_per_processor,
-                         warmup_fraction=options.warmup_fraction)
+        base = results[options.cell(name, baseline)]
+        cgct = results[options.cell(name, cgct_cfg)]
         base_avgs.append(base.broadcasts_per_window())
         cgct_avgs.append(cgct.broadcasts_per_window())
         base_peaks.append(base.traffic_peak_per_window)
@@ -394,16 +460,14 @@ def fig10(options: RunOptions, cache: RunCache) -> ExperimentResult:
     )
 
 
-def sec32(options: RunOptions, cache: RunCache) -> ExperimentResult:
+def sec32(options: RunOptions, results: Results) -> ExperimentResult:
     """Section 3.2/5.2 statistics: evictions, inclusion cost, line counts."""
     baseline = SystemConfig.paper_baseline()
     cgct_cfg = SystemConfig.paper_cgct(512)
     rows = []
     for name in options.benchmarks:
-        base = cache.run(name, baseline, options.ops_per_processor,
-                         warmup_fraction=options.warmup_fraction)
-        cgct = cache.run(name, cgct_cfg, options.ops_per_processor,
-                         warmup_fraction=options.warmup_fraction)
+        base = results[options.cell(name, baseline)]
+        cgct = results[options.cell(name, cgct_cfg)]
         miss_increase = (
             cgct.l2_misses / base.l2_misses - 1.0 if base.l2_misses else 0.0
         )
@@ -425,37 +489,36 @@ def sec32(options: RunOptions, cache: RunCache) -> ExperimentResult:
     )
 
 
-def _reduction_interval(cache: RunCache, name: str, config: SystemConfig,
+def _reduction_interval(results: Results, name: str, config: SystemConfig,
                         options: RunOptions):
     baseline = SystemConfig.paper_baseline()
-    bases = [
-        cache.run(name, baseline, options.ops_per_processor, seed=s,
-                  warmup_fraction=options.warmup_fraction)
-        for s in range(options.seeds)
-    ]
-    runs = [
-        cache.run(name, config, options.ops_per_processor, seed=s,
-                  warmup_fraction=options.warmup_fraction)
-        for s in range(options.seeds)
-    ]
-    return runtime_reduction_interval(bases, runs)
+    seeds = range(options.seeds)
+    return runtime_reduction_interval(
+        [results[options.cell(name, baseline, s)] for s in seeds],
+        [results[options.cell(name, config, s)] for s in seeds],
+    )
 
 
-#: Experiment ID → implementation, in the paper's presentation order.
-#: The beyond-the-paper experiments (ablations, extensions, scaling) are
-#: registered at the bottom of this module to avoid a circular import.
-EXPERIMENTS: Dict[str, Callable[[RunOptions, RunCache], ExperimentResult]] = {
-    "table1": table1,
-    "table2": table2,
-    "table3": table3,
-    "table4": table4,
-    "fig2": fig2,
-    "fig6": fig6,
-    "fig7": fig7,
-    "fig8": fig8,
-    "fig9": fig9,
-    "fig10": fig10,
-    "sec32": sec32,
+#: Experiment ID → its grid and rendering, in the paper's presentation
+#: order, then the beyond-the-paper experiments.
+EXPERIMENTS: Dict[str, Experiment] = {
+    "table1": Experiment(no_cells, table1),
+    "table2": Experiment(no_cells, table2),
+    "table3": Experiment(no_cells, table3),
+    "table4": Experiment(no_cells, table4),
+    "fig2": Experiment(fig2_cells, fig2),
+    "fig6": Experiment(no_cells, fig6),
+    "fig7": Experiment(fig7_cells, fig7),
+    "fig8": Experiment(fig8_cells, fig8),
+    "fig9": Experiment(fig9_cells, fig9),
+    "fig10": Experiment(baseline_and_cgct512_cells, fig10),
+    "sec32": Experiment(baseline_and_cgct512_cells, sec32),
+    "ablations": Experiment(extensions.ablation_cells, extensions.ablations),
+    "extensions": Experiment(extensions.extension_cells,
+                             extensions.extensions),
+    "scaling": Experiment(extensions.scaling_cells, extensions.scaling),
+    "energy": Experiment(no_cells, extensions.energy),
+    "sectored": Experiment(no_cells, extensions.sectored),
 }
 
 
@@ -469,6 +532,20 @@ def check_experiments(experiment_ids) -> None:
             )
 
 
+def experiment_tasks(
+    experiment_ids: Sequence[str], options: RunOptions,
+) -> List[ExperimentTask]:
+    """The de-duplicated union of the experiments' cells.
+
+    Sorted (stably) by :meth:`ExperimentTask.trace_key`, so each process
+    running a share of the cells builds each trace once (see
+    :func:`~repro.harness.parallel._recent_workload`).
+    """
+    tasks = [task for experiment_id in experiment_ids
+             for task in EXPERIMENTS[experiment_id].cells(options)]
+    return sorted(dict.fromkeys(tasks), key=ExperimentTask.trace_key)
+
+
 def run_experiment(
     experiment_id: str,
     options: Optional[RunOptions] = None,
@@ -478,11 +555,10 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one registered experiment and return its result.
 
-    The experiment's simulation grid runs up-front through
-    :func:`~repro.harness.parallel.warm_cache` — across ``workers``
-    worker processes when ``workers > 1``, in this process otherwise —
-    and the experiment then renders from the warmed cache; results are
-    bit-identical either way. ``runlog`` (a
+    The experiment's cells run through :meth:`RunCache.warm` — across
+    ``workers`` worker processes when ``workers > 1``, in this process
+    otherwise — and the experiment then renders from *cache*; results
+    are bit-identical either way. ``runlog`` (a
     :class:`~repro.harness.runlog.RunLog`) records per-cell
     observability. Telemetry registries are not kept here; to export
     them, call :meth:`RunCache.warm` on the grid, which returns them.
@@ -494,15 +570,6 @@ def run_experiment(
         options = RunOptions()
     if cache is None:
         cache = RunCache()
-    from repro.harness.parallel import warm_cache
-
-    warm_cache([experiment_id], options, cache, workers=workers,
+    cache.warm(experiment_tasks([experiment_id], options), workers=workers,
                runlog=runlog)
-    return EXPERIMENTS[experiment_id](options, cache)
-
-
-# The beyond-the-paper experiments register themselves at the end of
-# their module, which needs ExperimentResult/RunOptions from this one.
-# Imported last, so that whichever of the two modules a process imports
-# first, every importer sees the full registry.
-from repro.harness import extensions as _extensions  # noqa: E402,F401
+    return EXPERIMENTS[experiment_id].render(options, cache)

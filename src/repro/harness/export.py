@@ -1,7 +1,7 @@
 """Exporting experiment results: JSON and Markdown.
 
 The CLI prints plain-text tables; this module serialises
-:class:`~repro.harness.experiments.ExperimentResult` objects so results
+:class:`~repro.harness.render.ExperimentResult` objects so results
 can be archived, diffed between code versions, or stitched into
 documents (EXPERIMENTS.md's measured sections come from here).
 """
@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 from typing import Iterable, List, Union
 
-from repro.harness.experiments import ExperimentResult
+from repro.harness.render import ExperimentResult
 
 
 def result_to_dict(result: ExperimentResult) -> dict:

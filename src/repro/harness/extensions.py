@@ -14,21 +14,34 @@ questions the paper raises but does not evaluate:
 * ``scaling`` — broadcast traffic and CGCT benefit as the machine grows
   from 4 to 8 to 16 processors (the scalability argument of Section 5.3
   extrapolated).
+
+Like the paper's artifacts, each is a ``cells(options)`` grid plus a
+``render(options, results)``; :data:`repro.harness.experiments.EXPERIMENTS`
+registers them. ``energy`` and ``sectored`` declare no cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from repro.harness.experiments import EXPERIMENTS, ExperimentResult, RunOptions
+from repro.harness.parallel import ExperimentTask, _recent_workload
 from repro.harness.perfbench import _topology_for
-from repro.harness.runcache import RunCache
+from repro.harness.render import ExperimentResult
 from repro.system.config import SystemConfig
+
+if TYPE_CHECKING:  # annotations only: experiments imports this module
+    from repro.harness.experiments import Results, RunOptions
 
 #: Workloads that stress the mechanisms differently: migratory-heavy,
 #: broadcast-bound, and sharing-light.
 ABLATION_WORKLOADS = ("barnes", "tpc-w", "specweb99")
+
+
+def _ablation_workloads(options: RunOptions) -> List[str]:
+    """The requested ABLATION_WORKLOADS, else the first two requested."""
+    return [w for w in ABLATION_WORKLOADS if w in options.benchmarks] or \
+        list(options.benchmarks)[:2]
 
 
 def _ablation_configs() -> Dict[str, SystemConfig]:
@@ -45,27 +58,45 @@ def _ablation_configs() -> Dict[str, SystemConfig]:
     }
 
 
-def ablations(options: RunOptions, cache: RunCache) -> ExperimentResult:
-    """Per-ingredient ablation of the CGCT design."""
+def _variant_cells(options: RunOptions,
+                   variants: Dict[str, SystemConfig]) -> List[ExperimentTask]:
+    """Per workload: the baseline, then each variant."""
+    configs = [SystemConfig.paper_baseline(), *variants.values()]
+    return [options.cell(name, config)
+            for name in _ablation_workloads(options) for config in configs]
+
+
+def _variant_rows(options: RunOptions, results: Results,
+                  variants: Dict[str, SystemConfig]
+                  ) -> Tuple[List[str], List[List]]:
+    """The workloads, and per variant "avoided / run-time reduction"."""
     baseline = SystemConfig.paper_baseline()
+    workloads = _ablation_workloads(options)
     rows: List[List] = []
-    workloads = [w for w in ABLATION_WORKLOADS if w in options.benchmarks] or \
-        list(options.benchmarks)[:2]
-    for label, config in _ablation_configs().items():
+    for label, config in variants.items():
         row = [label]
         for name in workloads:
-            base = cache.run(name, baseline, options.ops_per_processor,
-                             warmup_fraction=options.warmup_fraction)
-            run = cache.run(name, config, options.ops_per_processor,
-                            warmup_fraction=options.warmup_fraction)
+            base = results[options.cell(name, baseline)]
+            run = results[options.cell(name, config)]
             row.append(
                 f"{run.fraction_avoided():.1%} / "
                 f"{run.runtime_reduction_over(base):+.1%}"
             )
         rows.append(row)
+    return workloads, rows
+
+
+def ablation_cells(options: RunOptions) -> List[ExperimentTask]:
+    """Per workload: the baseline, then each ablation."""
+    return _variant_cells(options, _ablation_configs())
+
+
+def ablations(options: RunOptions, results: Results) -> ExperimentResult:
+    """Per-ingredient ablation of the CGCT design."""
+    workloads, rows = _variant_rows(options, results, _ablation_configs())
     return ExperimentResult(
         "ablations", "CGCT design ablations (avoided / run-time reduction)",
-        ["Variant"] + list(workloads), rows,
+        ["Variant"] + workloads, rows,
         notes=["Self-invalidation matters most for migratory workloads "
                "(barnes); the one-bit response costs the direct i-fetch "
                "path; RegionScout trades >4x less storage for reduced "
@@ -89,29 +120,18 @@ def _extension_configs() -> Dict[str, SystemConfig]:
     }
 
 
-def extensions(options: RunOptions, cache: RunCache) -> ExperimentResult:
+def extension_cells(options: RunOptions) -> List[ExperimentTask]:
+    """Per workload: the baseline, then each Section 6 variant."""
+    return _variant_cells(options, _extension_configs())
+
+
+def extensions(options: RunOptions, results: Results) -> ExperimentResult:
     """Section 6 future-work features, measured."""
-    variants = _extension_configs()
-    baseline = SystemConfig.paper_baseline()
-    rows: List[List] = []
-    workloads = [w for w in ABLATION_WORKLOADS if w in options.benchmarks] or \
-        list(options.benchmarks)[:2]
-    for label, config in variants.items():
-        row = [label]
-        for name in workloads:
-            base = cache.run(name, baseline, options.ops_per_processor,
-                             warmup_fraction=options.warmup_fraction)
-            run = cache.run(name, config, options.ops_per_processor,
-                            warmup_fraction=options.warmup_fraction)
-            row.append(
-                f"{run.fraction_avoided():.1%} / "
-                f"{run.runtime_reduction_over(base):+.1%}"
-            )
-        rows.append(row)
+    workloads, rows = _variant_rows(options, results, _extension_configs())
     return ExperimentResult(
         "extensions",
         "Section 6 extensions (avoided / run-time reduction)",
-        ["Variant"] + list(workloads), rows,
+        ["Variant"] + workloads, rows,
         notes=["The DRAM filter trades occasional serial-DRAM misses for "
                "avoided speculative accesses (an energy proxy); region-"
                "state prefetch targets the ~4 % of requests whose region "
@@ -119,21 +139,33 @@ def extensions(options: RunOptions, cache: RunCache) -> ExperimentResult:
     )
 
 
-def scaling(options: RunOptions, cache: RunCache) -> ExperimentResult:
+def _scaling_workload(options: RunOptions) -> str:
+    return "tpc-w" if "tpc-w" in options.benchmarks else options.benchmarks[0]
+
+
+def _scaling_configs(processors: int) -> Tuple[SystemConfig, SystemConfig]:
+    """The baseline and CGCT 512 B machines with *processors* cores."""
+    topology = _topology_for(processors)
+    return (replace(SystemConfig.paper_baseline(), topology=topology),
+            replace(SystemConfig.paper_cgct(512), topology=topology))
+
+
+def scaling_cells(options: RunOptions) -> List[ExperimentTask]:
+    """Per machine size: the baseline, then CGCT. Each cell's trace is
+    built at its configuration's processor count."""
+    name = _scaling_workload(options)
+    return [options.cell(name, config) for processors in (4, 8, 16)
+            for config in _scaling_configs(processors)]
+
+
+def scaling(options: RunOptions, results: Results) -> ExperimentResult:
     """Broadcast traffic and CGCT benefit versus machine size."""
-    workload_name = "tpc-w" if "tpc-w" in options.benchmarks else options.benchmarks[0]
+    workload_name = _scaling_workload(options)
     rows: List[List] = []
     for processors in (4, 8, 16):
-        topology = _topology_for(processors)
-        base_cfg = replace(SystemConfig.paper_baseline(), topology=topology)
-        cgct_cfg = replace(SystemConfig.paper_cgct(512), topology=topology)
-        # The shared cache builds the trace at the config's processor
-        # count, so these runs are memoised (and parallelisable) like
-        # every other experiment cell.
-        base = cache.run(workload_name, base_cfg, options.ops_per_processor,
-                         warmup_fraction=options.warmup_fraction)
-        cgct = cache.run(workload_name, cgct_cfg, options.ops_per_processor,
-                         warmup_fraction=options.warmup_fraction)
+        base_cfg, cgct_cfg = _scaling_configs(processors)
+        base = results[options.cell(workload_name, base_cfg)]
+        cgct = results[options.cell(workload_name, cgct_cfg)]
         rows.append([
             processors,
             f"{base.broadcasts_per_window():.0f}",
@@ -160,7 +192,7 @@ def scaling(options: RunOptions, cache: RunCache) -> ExperimentResult:
     )
 
 
-def energy(options: RunOptions, cache: RunCache) -> ExperimentResult:
+def energy(options: RunOptions, results: Results) -> ExperimentResult:
     """Coherence-energy proxy (Section 6's power discussion).
 
     Runs each workload on the baseline, CGCT, and CGCT with the DRAM
@@ -169,6 +201,11 @@ def energy(options: RunOptions, cache: RunCache) -> ExperimentResult:
     weighted proxy total. RCA lookups are charged against CGCT, probing
     Section 6's caveat that "the additional logic may cancel out some of
     that savings."
+
+    The report reads the simulated :class:`~repro.system.machine.Machine`,
+    which a ``RunResult`` does not carry, so this experiment declares no
+    cells and runs its own :class:`~repro.system.simulator.Simulator`
+    per configuration instead of reading *results*.
     """
     from repro.analysis.energy import energy_report
     from repro.system.simulator import Simulator
@@ -184,10 +221,8 @@ def energy(options: RunOptions, cache: RunCache) -> ExperimentResult:
             SystemConfig.paper_cgct(512), dram_speculation_filter=True
         ),
     }
-    workloads = [w for w in ABLATION_WORKLOADS if w in options.benchmarks] or \
-        list(options.benchmarks)[:2]
     rows: List[List] = []
-    for name in workloads:
+    for name in _ablation_workloads(options):
         trace = build_benchmark(name, ops_per_processor=options.ops_per_processor)
         reports = {}
         for label, config in configs.items():
@@ -218,13 +253,14 @@ def energy(options: RunOptions, cache: RunCache) -> ExperimentResult:
     )
 
 
-def sectored(options: RunOptions, cache: RunCache) -> ExperimentResult:
+def sectored(options: RunOptions, results: Results) -> ExperimentResult:
     """Sectored-cache miss-ratio contrast (Section 2's related work).
 
     Feeds each benchmark's data-reference stream through a conventional
     1 MB 2-way cache and through sectored organisations of the same data
     capacity, quantifying the miss-ratio inflation that motivates CGCT's
     choice to keep region state *beside* the cache rather than sector it.
+    It reads traces, not simulations, so it declares no cells.
     """
     import numpy as np
 
@@ -235,10 +271,9 @@ def sectored(options: RunOptions, cache: RunCache) -> ExperimentResult:
     geometry = Geometry()
     data_ops = (int(TraceOp.LOAD), int(TraceOp.STORE), int(TraceOp.DCBZ))
     rows: List[List] = []
-    workloads = [w for w in ABLATION_WORKLOADS if w in options.benchmarks] or \
-        list(options.benchmarks)[:2]
-    for name in workloads:
-        trace = cache.trace(name, options.ops_per_processor).per_processor[0]
+    for name in _ablation_workloads(options):
+        trace = _recent_workload(name, 4, 0, options.ops_per_processor) \
+            .per_processor[0]
         mask = np.isin(trace.ops, data_ops)
         addresses = trace.addresses[mask].tolist()
         conventional = SectoredCache(geometry, lines_per_sector=1)
@@ -265,10 +300,3 @@ def sectored(options: RunOptions, cache: RunCache) -> ExperimentResult:
                "tracking without restructuring the cache. 'util' is the "
                "fraction of allocated sector lines actually valid."],
     )
-
-
-EXPERIMENTS["ablations"] = ablations
-EXPERIMENTS["extensions"] = extensions
-EXPERIMENTS["scaling"] = scaling
-EXPERIMENTS["energy"] = energy
-EXPERIMENTS["sectored"] = sectored

@@ -11,7 +11,7 @@ The paper's evaluation is a grid of (benchmark × region size × RCA size
 * :func:`load_or_simulate` — the one cell executor: the result store's
   entry, or a fresh simulation (with its telemetry registry when asked)
   that is then stored. Pool workers (via :func:`execute_envelope`) and
-  ``RunCache`` misses both use it.
+  cells a sweep runs in this process both use it.
 * :class:`ParallelRunner` — executes a task list through a
   :class:`~repro.harness.supervisor.SupervisedPool` (in this process
   with ``workers <= 1``, the determinism oracle), serving the cells
@@ -19,10 +19,11 @@ The paper's evaluation is a grid of (benchmark × region size × RCA size
   appending per-cell records to an optional :class:`RunLog`. The
   telemetry registries of the cells it simulated come back on their
   outcomes and are kept in task order (:attr:`ParallelRunner.registries`).
-* :func:`experiment_tasks` / :func:`warm_cache` — enumerate every
-  simulation the registered paper experiments will request and run them
-  up-front, preloading a :class:`RunCache` so the experiment functions
-  themselves execute entirely from memory.
+
+Which cells an experiment needs is declared by the experiment itself
+(its ``cells`` in :mod:`repro.harness.experiments`);
+:meth:`RunCache.warm <repro.harness.runcache.RunCache.warm>` runs a
+grid through this runner and keeps the results for rendering.
 
 Fault tolerance
 ---------------
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -190,7 +191,8 @@ class ExperimentTask:
 
 #: Workloads this process built most recently, least recent first,
 #: keyed by :meth:`ExperimentTask.trace_key`. Every seed of a harness
-#: cell replays trace seed 0, and :func:`experiment_tasks` orders a
+#: cell replays trace seed 0, and
+#: :func:`~repro.harness.experiments.experiment_tasks` orders a
 #: grid's cells by this key, so each process — a pool worker, or the
 #: coordinator running cells itself — builds each trace of a sweep once:
 #: the full ``fig2 fig7 fig8`` sweep (72 cells, 9 traces) reuses at
@@ -639,104 +641,3 @@ class ParallelRunner:
                   wall_s=round(outcome.wall_seconds, 6),
                   worker=outcome.worker_pid,
                   peak_rss_kb=outcome.peak_rss_kb, attempt=attempt)
-
-
-# ----------------------------------------------------------------------
-# Experiment-grid enumeration
-# ----------------------------------------------------------------------
-def experiment_tasks(
-    experiment_ids: Sequence[str],
-    options: "RunOptions",
-) -> List[ExperimentTask]:
-    """Every simulation the named experiments will request, de-duplicated.
-
-    Mirrors the ``cache.run`` calls inside each experiment function;
-    experiments with no cacheable simulations (the static tables,
-    ``fig6``, and the ones that drive :class:`Simulator` directly)
-    contribute nothing. The order is stable, so task lists — and hence
-    parallel sweeps — are reproducible, and it is sorted by
-    :meth:`ExperimentTask.trace_key`, so each process running a share of
-    the cells builds each trace once (see :func:`_recent_workload`).
-    """
-    from repro.harness import extensions
-
-    baseline = SystemConfig.paper_baseline()
-    tasks: List[ExperimentTask] = []
-
-    def add(benchmark: str, config: SystemConfig, seed: int = 0) -> None:
-        tasks.append(ExperimentTask(
-            benchmark, config, options.ops_per_processor, seed=seed,
-            warmup_fraction=options.warmup_fraction,
-        ))
-
-    def ablation_workloads() -> List[str]:
-        chosen = [w for w in extensions.ABLATION_WORKLOADS
-                  if w in options.benchmarks]
-        return chosen or list(options.benchmarks)[:2]
-
-    for experiment_id in experiment_ids:
-        if experiment_id == "fig2":
-            for name in options.benchmarks:
-                add(name, baseline)
-        elif experiment_id == "fig7":
-            for name in options.benchmarks:
-                add(name, baseline)
-                for region in options.region_sizes:
-                    add(name, SystemConfig.paper_cgct(region))
-        elif experiment_id == "fig8":
-            for name in options.benchmarks:
-                for seed in range(options.seeds):
-                    add(name, baseline, seed=seed)
-                for region in options.region_sizes:
-                    for seed in range(options.seeds):
-                        add(name, SystemConfig.paper_cgct(region), seed=seed)
-        elif experiment_id == "fig9":
-            for name in options.benchmarks:
-                for seed in range(options.seeds):
-                    add(name, baseline, seed=seed)
-                    add(name, SystemConfig.paper_cgct(512, rca_sets=8192),
-                        seed=seed)
-                    add(name, SystemConfig.paper_cgct(512, rca_sets=4096),
-                        seed=seed)
-        elif experiment_id in ("fig10", "sec32"):
-            for name in options.benchmarks:
-                add(name, baseline)
-                add(name, SystemConfig.paper_cgct(512))
-        elif experiment_id == "ablations":
-            for name in ablation_workloads():
-                add(name, baseline)
-                for config in extensions._ablation_configs().values():
-                    add(name, config)
-        elif experiment_id == "extensions":
-            for name in ablation_workloads():
-                add(name, baseline)
-                for config in extensions._extension_configs().values():
-                    add(name, config)
-        elif experiment_id == "scaling":
-            name = "tpc-w" if "tpc-w" in options.benchmarks \
-                else options.benchmarks[0]
-            for processors in (4, 8, 16):
-                topology = extensions._topology_for(processors)
-                add(name, replace(baseline, topology=topology))
-                add(name, replace(SystemConfig.paper_cgct(512),
-                                  topology=topology))
-    return sorted(dict.fromkeys(tasks), key=ExperimentTask.trace_key)
-
-
-def warm_cache(
-    experiment_ids: Sequence[str],
-    options: "RunOptions",
-    cache: "RunCache",
-    **runner_options,
-) -> int:
-    """Run the experiments' simulation grid up-front, preloading *cache*.
-
-    After this returns, running the named experiments against *cache*
-    executes zero new simulations. Returns the number of grid cells.
-    *runner_options* (``workers``, ``runlog``, ``checkpoint``, ...) go
-    to the :class:`ParallelRunner`; see
-    :meth:`~repro.harness.runcache.RunCache.warm`.
-    """
-    tasks = experiment_tasks(experiment_ids, options)
-    cache.warm(tasks, **runner_options)
-    return len(tasks)

@@ -131,8 +131,10 @@ class ConfigSweep:
         ``task_timeout`` bounds each cell's wall clock, ``checkpoint``
         (a :class:`~repro.harness.supervisor.SweepCheckpoint`) makes
         the sweep resumable, and ``check_invariants`` ("sampled" or
-        "deep") audits every simulated cell with the coherence
-        sanitizer — records are bit-identical either way.
+        "deep") audits every cell this sweep simulates with the
+        coherence sanitizer, unless *cache* has a mode of its own; the
+        *cache* itself is left as it was. Records are bit-identical
+        either way.
         ``workload_cache`` (a
         :class:`~repro.workloads.store.WorkloadStore`) reuses
         generated traces across the grid's repeated (workload,
@@ -146,30 +148,25 @@ class ConfigSweep:
             set_workload_store(workload_cache)
         cache = cache if cache is not None else RunCache()
         workloads = list(workloads)
-        if check_invariants and not cache.check_invariants:
-            cache.check_invariants = check_invariants
         configs = [self.baseline] + [self.config_for(p) for p in self.grid()]
+
+        def cell(name: str, config: SystemConfig) -> ExperimentTask:
+            return ExperimentTask(name, config, ops_per_processor, seed=seed,
+                                  warmup_fraction=warmup_fraction)
+
         cache.warm(
-            (ExperimentTask(name, config, ops_per_processor, seed=seed,
-                            warmup_fraction=warmup_fraction)
-             for name in workloads for config in configs),
+            (cell(name, config) for name in workloads for config in configs),
             workers=workers, runlog=runlog, task_timeout=task_timeout,
             checkpoint=checkpoint, workload_cache=workload_cache,
+            check_invariants=cache.check_invariants or check_invariants,
         )
         records: List[Dict] = []
         for name in workloads:
-            base_run = cache.run(
-                name, self.baseline, ops_per_processor, seed=seed,
-                warmup_fraction=warmup_fraction,
-            )
-            for point in self.grid():
-                config = self.config_for(point)
-                run = cache.run(
-                    name, config, ops_per_processor, seed=seed,
-                    warmup_fraction=warmup_fraction,
-                )
+            base_run = cache[cell(name, self.baseline)]
+            for point, config in zip(self.grid(), configs[1:]):
                 record = dict(point)
                 record["workload"] = name
+                run = cache[cell(name, config)]
                 for metric, extract in self.metrics.items():
                     record[metric] = extract(base_run, run)
                 records.append(record)

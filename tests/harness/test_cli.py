@@ -85,12 +85,11 @@ def test_check_invariants_flag_runs_clean(capsys, tmp_path):
 
 def test_warm_sweep_fingerprints_each_config_once(tmp_path, capsys,
                                                   monkeypatch):
-    # A warm sweep renders from the cache warm_cache filled: every cell
+    # A warm sweep renders from the cache its warm-up filled: every cell
     # is hashed by config, and each distinct config is digested once per
     # process however many cells, lookups and experiments share it.
     import repro.harness.cache as cache_module
-    from repro.harness.experiments import RunOptions
-    from repro.harness.parallel import experiment_tasks
+    from repro.harness.experiments import RunOptions, experiment_tasks
 
     experiments = ["fig2", "fig7", "fig8"]
     argv = [*experiments, "--quick", "--ops", "200",
@@ -122,8 +121,7 @@ def test_telemetry_sweep_is_the_same_at_any_worker_count(tmp_path, capsys):
     # run log and checkpoint are the same as any sweep's.
     import json
 
-    from repro.harness.experiments import RunOptions
-    from repro.harness.parallel import experiment_tasks
+    from repro.harness.experiments import RunOptions, experiment_tasks
     from repro.harness.runlog import read_runlog
 
     experiments = ["fig2", "fig7"]

@@ -12,6 +12,7 @@ from repro.harness.cache import (
 )
 from repro.harness.parallel import ExperimentTask
 from repro.harness.runcache import RunCache
+from repro.harness.runlog import RunLog, read_runlog
 from repro.system.config import SystemConfig
 
 
@@ -141,26 +142,30 @@ def test_atomic_store_leaves_no_temp_files(tmp_path, small_result):
 # RunCache integration
 # ----------------------------------------------------------------------
 def test_disk_backed_runcache_replays_across_instances(tmp_path):
-    config = SystemConfig.paper_baseline()
-    first = RunCache(disk=DiskCache(tmp_path))
-    a = first.run("barnes", config, 300, warmup_fraction=0.0)
+    task = ExperimentTask("barnes", SystemConfig.paper_baseline(), 300,
+                          warmup_fraction=0.0)
+    first = RunCache(disk=DiskCache(tmp_path / "store"))
+    first.warm([task])
     # A fresh process-equivalent: new memory cache, same disk store.
-    second = RunCache(disk=DiskCache(tmp_path))
-    b = second.run("barnes", config, 300, warmup_fraction=0.0)
-    assert a == b
-    assert second.disk.hits == 1
-    assert second.disk.misses == 0
+    second = RunCache(disk=DiskCache(tmp_path / "store"))
+    with RunLog(tmp_path / "run.jsonl") as runlog:
+        second.warm([task], runlog=runlog)
+    assert first[task] == second[task]
+    runs = [r for r in read_runlog(tmp_path / "run.jsonl")
+            if r["event"] == "run"]
+    assert [r["cache"] for r in runs] == ["hit"]
 
 
 def test_disk_backed_runcache_stores_new_runs(tmp_path):
-    cache = RunCache(disk=DiskCache(tmp_path))
-    cache.run("barnes", SystemConfig.paper_baseline(), 300,
-              warmup_fraction=0.0)
+    task = ExperimentTask("barnes", SystemConfig.paper_baseline(), 300,
+                          warmup_fraction=0.0)
+    cache = RunCache(disk=DiskCache(tmp_path / "store"))
+    cache.warm([task])
     assert len(cache.disk) == 1
     # In-memory hit: the disk is not consulted twice.
-    cache.run("barnes", SystemConfig.paper_baseline(), 300,
-              warmup_fraction=0.0)
-    assert cache.disk.hits == 0
+    with RunLog(tmp_path / "run.jsonl") as runlog:
+        cache.warm([task], runlog=runlog)
+    assert read_runlog(tmp_path / "run.jsonl") == []
 
 
 def test_results_pickle_roundtrip_equality(small_result):

@@ -17,14 +17,12 @@ import pytest
 from repro.common.errors import SimulationError
 from repro.harness.cache import DiskCache
 from repro.harness.experiments import EXPERIMENTS, RunOptions, \
-    run_experiment
+    experiment_tasks, run_experiment
 from repro.harness.parallel import (
     ExperimentTask,
     ParallelRunner,
     execute_envelope,
-    experiment_tasks,
     replicated_tasks,
-    warm_cache,
 )
 from repro.harness.runcache import RunCache
 from repro.harness.runlog import RunLog, read_runlog, summarize
@@ -262,8 +260,7 @@ def test_warm_cache_preloads_so_experiments_run_from_memory():
     options = RunOptions(ops_per_processor=600, seeds=1,
                          benchmarks=("barnes",), region_sizes=(512,))
     cache = RunCache()
-    cells = warm_cache(["fig2"], options, cache, workers=0)
-    assert cells == 1
+    cache.warm(experiment_tasks(["fig2"], options), workers=0)
     assert len(cache) == 1
     result = run_experiment("fig2", options, cache)
     assert result.rows
@@ -272,19 +269,45 @@ def test_warm_cache_preloads_so_experiments_run_from_memory():
     assert len(cache) == 1
 
 
-@pytest.mark.parametrize("experiment_id", list(EXPERIMENTS))
-def test_warm_grid_is_each_experiments_grid(experiment_id):
-    """experiment_tasks mirrors every experiment's cache.run calls: a
-    drifted grid would simulate the missing cells serially, outside the
-    pool, after the warm-up."""
-    options = RunOptions(ops_per_processor=200, seeds=2,
-                         benchmarks=("barnes", "tpc-w"),
-                         region_sizes=(256, 512))
+#: Small enough that every experiment's grid simulates in seconds.
+GRID_OPTIONS = RunOptions(ops_per_processor=200, seeds=2,
+                          benchmarks=("barnes", "tpc-w"),
+                          region_sizes=(256, 512))
+
+
+@pytest.fixture(scope="module")
+def grid_cache():
+    """Every registered experiment's cells, simulated once."""
     cache = RunCache()
-    cells = warm_cache([experiment_id], options, cache, workers=0)
-    assert len(cache) == cells
-    EXPERIMENTS[experiment_id](options, cache)
-    assert len(cache) == cells
+    cache.warm(experiment_tasks(list(EXPERIMENTS), GRID_OPTIONS))
+    return cache
+
+
+@pytest.mark.parametrize("experiment_id", list(EXPERIMENTS))
+def test_warm_grid_is_each_experiments_grid(experiment_id, grid_cache):
+    """Each render reads only the cells its experiment declares: it
+    succeeds on a mapping holding exactly ``cells(options)``."""
+    experiment = EXPERIMENTS[experiment_id]
+    cells = experiment.cells(GRID_OPTIONS)
+    assert len(set(cells)) == len(cells)
+    results = {task: grid_cache[task] for task in cells}
+    assert experiment.render(GRID_OPTIONS, results).rows
+
+
+@pytest.mark.parametrize("experiment_id", [
+    experiment_id for experiment_id, experiment in EXPERIMENTS.items()
+    if experiment.cells(GRID_OPTIONS)])
+def test_render_without_a_declared_cell_raises_key_error(experiment_id,
+                                                         grid_cache):
+    """Rendering never simulates, and reads every cell it declares: a
+    mapping missing any one of them is a KeyError."""
+    experiment = EXPERIMENTS[experiment_id]
+    cells = experiment.cells(GRID_OPTIONS)
+    for missing in cells:
+        results = {task: grid_cache[task] for task in cells
+                   if task != missing}
+        with pytest.raises(KeyError):
+            experiment.render(GRID_OPTIONS, results)
 
 
 def test_run_experiment_with_workers_matches_serial():

@@ -1,6 +1,8 @@
-"""Run memoisation shared across experiments."""
+"""The read-only mapping of a sweep's results, shared across experiments."""
 
 from dataclasses import replace
+
+import pytest
 
 from repro.harness.parallel import ExperimentTask
 from repro.harness.runcache import RunCache
@@ -25,38 +27,37 @@ def test_config_key_distinguishes_what_matters():
     assert hash(task(base)) == hash(task(SystemConfig.paper_baseline()))
 
 
-def test_trace_cache_reuses_objects():
-    cache = RunCache()
-    a = cache.trace("barnes", 500)
-    b = cache.trace("barnes", 500)
-    assert a is b
-    assert cache.trace("barnes", 600) is not a
-
-
 def test_run_cache_reuses_results():
     cache = RunCache()
-    config = SystemConfig.paper_baseline()
-    a = cache.run("barnes", config, ops_per_processor=400, warmup_fraction=0.0)
-    b = cache.run("barnes", config, ops_per_processor=400, warmup_fraction=0.0)
-    assert a is b
+    task = ExperimentTask("barnes", SystemConfig.paper_baseline(), 400,
+                          warmup_fraction=0.0)
+    cache.warm([task, task])
+    a = cache[task]
+    # A second warm of a cell the cache holds runs nothing.
+    assert cache.warm([task]) == []
+    assert cache[task] is a
     assert len(cache) == 1
+    assert list(cache) == [task]
 
 
 def test_run_cache_distinguishes_seeds_and_configs():
     cache = RunCache()
     base = SystemConfig.paper_baseline()
-    cache.run("barnes", base, 400, seed=0, warmup_fraction=0.0)
-    cache.run("barnes", base, 400, seed=1, warmup_fraction=0.0)
-    cache.run("barnes", SystemConfig.paper_cgct(512), 400, seed=0,
-              warmup_fraction=0.0)
+    cache.warm([
+        ExperimentTask("barnes", base, 400, seed=0, warmup_fraction=0.0),
+        ExperimentTask("barnes", base, 400, seed=1, warmup_fraction=0.0),
+        ExperimentTask("barnes", SystemConfig.paper_cgct(512), 400, seed=0,
+                       warmup_fraction=0.0),
+    ])
     assert len(cache) == 3
 
 
-def test_clear():
+def test_lookup_of_an_unwarmed_cell_raises_instead_of_simulating():
     cache = RunCache()
-    cache.run("barnes", SystemConfig.paper_baseline(), 400,
-              warmup_fraction=0.0)
-    cache.clear()
+    task = ExperimentTask("barnes", SystemConfig.paper_baseline(), 400)
+    with pytest.raises(KeyError):
+        cache[task]
+    assert task not in cache
     assert len(cache) == 0
 
 

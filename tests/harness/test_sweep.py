@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.harness import runcache
+from repro.harness.runcache import RunCache
 from repro.harness.sweep import ConfigSweep, _replace_path
 from repro.system.config import SystemConfig
 
@@ -87,6 +89,26 @@ class TestRun:
                             workers=workers)
         assert records == serial
         assert records[0]["cycles"] != records[1]["cycles"]
+
+    def test_sanitizer_mode_is_the_sweeps_own(self, monkeypatch):
+        """``check_invariants`` audits this sweep's cells and leaves the
+        caller's cache as it was, so later warm-ups on it are plain."""
+        modes = []
+
+        class Runner(runcache.ParallelRunner):
+            def __init__(self, **options):
+                modes.append(options["check_invariants"])
+                super().__init__(**options)
+
+        monkeypatch.setattr(runcache, "ParallelRunner", Runner)
+        sweep = ConfigSweep(base=SystemConfig.paper_cgct(),
+                            axes={"geometry.region_bytes": [512]})
+        cache = RunCache()
+        sweep.run(["barnes"], ops_per_processor=300, cache=cache,
+                  check_invariants="sampled")
+        assert cache.check_invariants == ""
+        sweep.run(["barnes"], ops_per_processor=400, cache=cache)
+        assert modes == ["sampled", ""]
 
     def test_best(self):
         records = [
